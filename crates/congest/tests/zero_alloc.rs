@@ -10,18 +10,24 @@
 
 use nas_congest::{Msg, NodeProgram, RoundCtx, Simulator};
 use nas_graph::generators;
+use nas_par::WorkerPool;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// side effect with no influence on the returned memory.
+// side effect with no influence on the returned memory, and reading the
+// const-initialized, destructor-free `COUNTED` flag never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -30,13 +36,37 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The harness runs the tests of one binary on parallel threads, so every
+/// test holds this lock for its whole body: one test's set-up allocations
+/// must not land in another test's counted window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread's allocations count. Only the threads that run
+    /// the simulator are switched on (see [`count_on`]): the harness's main
+    /// thread spawns and reaps test threads, allocating, while a test's
+    /// window is open.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Switches counting on or off for the calling thread and, if given, every
+/// lane of `pool` (lane 0 is the calling thread).
+fn count_on(pool: Option<&WorkerPool>, on: bool) {
+    COUNTED.with(|c| c.set(on));
+    if let Some(pool) = pool {
+        pool.broadcast(|_| COUNTED.with(|c| c.set(on)));
+    }
+}
 
 /// Token ring: at round 0 every node launches a token over its port 0; from
 /// then on every received token is forwarded out the *other* port. On a
@@ -62,6 +92,7 @@ impl NodeProgram for Ring {
 
 #[test]
 fn steady_state_step_performs_zero_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 512;
     let g = generators::cycle(n);
     let programs: Vec<Ring> = (0..n).map(|_| Ring { tokens_seen: 0 }).collect();
@@ -71,9 +102,11 @@ fn steady_state_step_performs_zero_allocations() {
     sim.run_rounds(32);
     assert_eq!(sim.stats().messages, 32 * n as u64);
 
+    count_on(None, true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.run_rounds(256);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    count_on(None, false);
     assert_eq!(
         after - before,
         0,
@@ -90,6 +123,7 @@ fn steady_state_step_performs_zero_allocations() {
 /// per node and per round.
 #[test]
 fn steady_state_zero_alloc_on_irregular_graph() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 300;
     let g = generators::preferential_attachment(n, 3, 7);
 
@@ -113,9 +147,11 @@ fn steady_state_zero_alloc_on_irregular_graph() {
     let mut sim = Simulator::new(&g, programs);
     sim.run_rounds(16);
 
+    count_on(None, true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.run_rounds(128);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    count_on(None, false);
     assert_eq!(
         after - before,
         0,
@@ -130,11 +166,11 @@ fn steady_state_zero_alloc_on_irregular_graph() {
 /// job dispatch goes through a preallocated futex-guarded slot, and the
 /// counting/scatter merge reuses per-range scratch — so a steady-state
 /// parallel step performs zero allocations *across all worker threads*
-/// (the counting allocator is global, so worker-thread allocations would
-/// be caught here too).
+/// (`count_on` switches counting on for every pool lane, so worker-thread
+/// allocations are caught here too).
 #[test]
 fn steady_state_zero_alloc_with_pool_active() {
-    use nas_par::WorkerPool;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use std::sync::Arc;
 
     let n = 512;
@@ -143,7 +179,8 @@ fn steady_state_zero_alloc_with_pool_active() {
     let mut sim = Simulator::new(&g, programs);
     // 4 lanes regardless of the host's core count: the cross-thread dispatch
     // machinery must itself be allocation-free even when oversubscribed.
-    sim.set_pool(Arc::new(WorkerPool::new(4)));
+    let pool = Arc::new(WorkerPool::new(4));
+    sim.set_pool(Arc::clone(&pool));
     // n = 512 sits below the default dispatch threshold; force the parallel
     // path — the zero-alloc pin is about the sharded machinery.
     sim.set_par_threshold(0);
@@ -159,9 +196,11 @@ fn steady_state_zero_alloc_with_pool_active() {
     sim.run_rounds(warmup);
     assert_eq!(sim.stats().messages, warmup * n as u64);
 
+    count_on(Some(&pool), true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.run_rounds(2 * n as u64);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    count_on(Some(&pool), false);
     assert_eq!(
         after - before,
         0,

@@ -28,6 +28,52 @@
 //!   allocation, filled sequentially or sharded over a
 //!   [`nas_par::WorkerPool`].
 //!
+//! # The BFS kernel: direction-optimizing
+//!
+//! One private kernel, `bfs_row`, fills every unweighted row in the plane:
+//! [`DistanceMap::fill`], [`DistanceBatch::fill`] and
+//! [`fill_multi`](DistanceBatch::fill_multi), and through them the stretch
+//! audits, APSP, the oracles and the `nas-serve` daemon. It is the
+//! direction-optimizing BFS of Beamer, Asanović & Patterson (SC 2012).
+//!
+//! * **Top-down** (the classic loop): expand every arc out of the level
+//!   `d − 1` frontier and claim the unreached endpoints.
+//! * **Bottom-up**: scan every unreached vertex `v` in id order and claim
+//!   it at the first neighbor `u` with `row[u] == d − 1`.
+//!
+//! On a low-diameter, hub-heavy graph two or three levels hold most of the
+//! vertices. Top-down probes all the arcs of those levels; bottom-up stops
+//! at the first parent, so those levels cost about one probe per vertex.
+//! On a grid or a path every level is thin and top-down is right.
+//!
+//! **The direction rule.** With `n_f` the frontier size, `m_f` the arcs out
+//! of the frontier and `m_u` the arcs of still-unvisited vertices
+//! (`degree_sum` minus the degrees of everything visited so far), level `d`
+//! runs bottom-up iff
+//!
+//! ```text
+//! n_f ≥ n/24  and  (level d − 1 ran bottom-up  or  m_f > m_u/14)
+//! ```
+//!
+//! `14` is Beamer's α (switch once the frontier's arcs outweigh 1/14 of
+//! what is left to probe). `24` is Beamer's β, used as a gate on *both*
+//! directions: without it, the tail of a grid BFS (tiny `m_u`) flips to
+//! bottom-up, and each such level scans all `n` vertices to find a handful.
+//! On a `k × k` grid a level holds at most `2k` vertices, below `n/24` for
+//! `k > 48`, so grid rows never leave top-down.
+//!
+//! **Why rows are byte-identical to the top-down loop.** Hop distances are
+//! unique: a vertex at distance `d` is claimed at level `d` whichever
+//! direction the level runs, because both directions claim exactly the
+//! unreached vertices with a neighbor at `d − 1`. Only the order of the
+//! next frontier changes, and no output depends on that order.
+//!
+//! **Why no scratch was added.** Bottom-up needs a frontier membership
+//! test, and the row already is one (`row[u] == d − 1`), so there is no
+//! bitmap. The next frontier still goes into the swap vectors; level sets
+//! are the same in either direction, so the vectors' high-water marks, and
+//! with them the zero-allocation steady state, are unchanged.
+//!
 //! # Sentinel convention
 //!
 //! `UNREACHED == u32::MAX` marks a vertex not reached by the traversal.
@@ -297,9 +343,26 @@ impl BfsScratch {
     }
 }
 
+/// Direction rule, arc test (Beamer's α): a top-down level switches to
+/// bottom-up once the frontier's arcs `m_f` exceed `1/14` of the arcs
+/// `m_u` of the still-unvisited vertices.
+const ARC_RATIO: usize = 14;
+
+/// Direction rule, frontier gate (Beamer's β, used as a gate on both
+/// directions): no level runs bottom-up unless the frontier holds at least
+/// `n/24` vertices.
+const FRONTIER_FRACTION: usize = 24;
+
 /// The dense BFS kernel: fills `row` (already sized to `n`) with hop
 /// distances from `sources`, using the row's own [`UNREACHED`] sentinel as
 /// the visited test and `scratch`'s swap frontiers for the traversal.
+/// Returns the number of levels that ran bottom-up.
+///
+/// Direction-optimizing: level `d` runs bottom-up iff `n_f ≥ n/24`
+/// ([`FRONTIER_FRACTION`]) and either level `d − 1` ran bottom-up or
+/// `m_f > m_u/14` ([`ARC_RATIO`]), and top-down otherwise. See the module
+/// docs for why the row equals a plain top-down BFS and why no scratch was
+/// added.
 ///
 /// `row` must be all-[`UNREACHED`] on entry (the callers reset it).
 fn bfs_row<I: IntoIterator<Item = usize>>(
@@ -307,34 +370,61 @@ fn bfs_row<I: IntoIterator<Item = usize>>(
     sources: I,
     row: &mut [u32],
     scratch: &mut BfsScratch,
-) {
+) -> usize {
     let n = row.len();
     debug_assert_eq!(n, g.num_vertices());
     let BfsScratch { frontier, next } = scratch;
     frontier.clear();
     next.clear();
+    // `m_f`: arcs out of the frontier; `m_u`: arcs of unvisited vertices.
+    let mut m_f = 0;
     for s in sources {
         assert!(s < n, "source {s} out of range");
         if row[s] == UNREACHED {
             row[s] = 0;
             frontier.push(s as u32);
+            m_f += g.degree(s);
         }
     }
+    let mut m_u = g.degree_sum() - m_f;
+    let mut bottom_up = false;
+    let mut bottom_up_levels = 0;
     let mut d = 0u32;
     while !frontier.is_empty() {
         d += 1;
-        for &v in frontier.iter() {
-            for &u in g.neighbors(v as usize) {
-                let u = u as usize;
-                if row[u] == UNREACHED {
-                    row[u] = d;
-                    next.push(u as u32);
+        bottom_up = frontier.len() >= n / FRONTIER_FRACTION && (bottom_up || m_f > m_u / ARC_RATIO);
+        let mut m_next = 0;
+        if bottom_up {
+            bottom_up_levels += 1;
+            for v in 0..n {
+                if row[v] != UNREACHED {
+                    continue;
+                }
+                let nbrs = g.neighbors(v);
+                if nbrs.iter().any(|&u| row[u as usize] == d - 1) {
+                    row[v] = d;
+                    next.push(v as u32);
+                    m_next += nbrs.len();
+                }
+            }
+        } else {
+            for &v in frontier.iter() {
+                for &u in g.neighbors(v as usize) {
+                    let u = u as usize;
+                    if row[u] == UNREACHED {
+                        row[u] = d;
+                        next.push(u as u32);
+                        m_next += g.degree(u);
+                    }
                 }
             }
         }
+        m_u -= m_next;
+        m_f = m_next;
         std::mem::swap(frontier, next);
         next.clear();
     }
+    bottom_up_levels
 }
 
 /// Many distance rows in one flat allocation: row `i` holds the distances
@@ -457,7 +547,9 @@ impl DistanceBatch {
             pool,
             sources.len(),
             |s| 1 + g.degree(sources[s]) as u64,
-            |row, s, sc| bfs_row(g, [sources[s]], row, sc),
+            |row, s, sc| {
+                bfs_row(g, [sources[s]], row, sc);
+            },
         );
     }
 
@@ -493,7 +585,9 @@ impl DistanceBatch {
                     .map(|&v| g.degree(v) as u64)
                     .sum::<u64>()
             },
-            |row, s, sc| bfs_row(g, source_sets[s].iter().copied(), row, sc),
+            |row, s, sc| {
+                bfs_row(g, source_sets[s].iter().copied(), row, sc);
+            },
         );
     }
 
@@ -527,7 +621,7 @@ impl DistanceBatch {
             pool,
             &mut self.data,
             data_cuts,
-            lane_scratch,
+            &mut lane_scratch[..lanes],
             lane_cuts,
             |lane, rows_part, scratch_part| {
                 let sc = &mut scratch_part[0];
@@ -582,6 +676,10 @@ impl<S> LaneScratch<S> {
     /// so a row seeded at a hub does not land in the same lane as a full
     /// share of ordinary rows. Output is unaffected: rows are independent
     /// and the cuts only move lane boundaries.
+    ///
+    /// The per-lane scratch vector keeps its high-water length, so after a
+    /// fill on more lanes the caller must hand out only the first `lanes`
+    /// entries.
     fn prepare(
         &mut self,
         rows: usize,
@@ -718,6 +816,56 @@ mod tests {
         assert_eq!(batch.rows(), 1);
         batch.fill(&g, &[0, 7], &mut scratch, &pool);
         assert_eq!(batch, first);
+    }
+
+    /// One scratch used at 2 lanes and then at fewer must hand the pool
+    /// exactly one per-lane scratch per lane (it used to hand over its
+    /// high-water count, which `nas_par` rejects).
+    #[test]
+    fn batch_scratch_survives_fewer_lanes() {
+        let g = generators::grid2d(10, 10);
+        let sources = [0, 45, 99, 12];
+        let mut batch = DistanceBatch::new();
+        let mut scratch = BatchScratch::new();
+        for threads in [2, 1, 3, 1] {
+            batch.fill(&g, &sources, &mut scratch, &WorkerPool::new(threads));
+            for (i, &s) in sources.iter().enumerate() {
+                assert_eq!(batch.row(i), DistanceMap::from_source(&g, s).raw());
+            }
+        }
+    }
+
+    /// Single-source bottom-up level count of `g` from `s`.
+    fn bottom_up_levels(g: &Graph, s: usize) -> usize {
+        let mut row = vec![UNREACHED; g.num_vertices()];
+        bfs_row(g, [s], &mut row, &mut BfsScratch::new())
+    }
+
+    /// The direction rule does what the module docs say: hub-heavy rows
+    /// turn bottom-up, while a single-source row on a grid or a path never
+    /// does. Each grid level holds at most `2·side` vertices, below the
+    /// `n/24` gate once `side > 48`; a path level holds at most two.
+    #[test]
+    fn bottom_up_runs_on_hubs_and_never_on_grids_or_paths() {
+        let hubs = generators::preferential_attachment(3000, 4, 9);
+        for s in [0, 1, 57, 1500, 2999] {
+            assert!(bottom_up_levels(&hubs, s) >= 1, "pref_attach from {s}");
+        }
+        let star = generators::star(500);
+        for s in [0, 1, 499] {
+            assert!(bottom_up_levels(&star, s) >= 1, "star from {s}");
+        }
+        let grid = generators::grid2d(60, 60);
+        for s in (0..grid.num_vertices())
+            .step_by(7)
+            .chain([1799, 1830, 3599])
+        {
+            assert_eq!(bottom_up_levels(&grid, s), 0, "grid from {s}");
+        }
+        let path = generators::path(1000);
+        for s in 0..path.num_vertices() {
+            assert_eq!(bottom_up_levels(&path, s), 0, "path from {s}");
+        }
     }
 
     #[test]

@@ -543,6 +543,28 @@ mod tests {
         }
     }
 
+    /// One weighted batch scratch reused at fewer lanes than its first
+    /// fill (the per-lane scratch vector must not be handed out whole).
+    #[test]
+    fn batch_scratch_survives_fewer_lanes() {
+        let g = WeightedGraph::from_graph(
+            generators::grid2d(10, 10),
+            WeightDist::Uniform { lo: 1, hi: 9 },
+            5,
+        );
+        let sources = [0, 45, 99, 12];
+        let delta = auto_delta(&g);
+        let mut batch = DistanceBatch::new();
+        let mut scratch = SsspBatchScratch::new();
+        for threads in [2, 1, 3, 1] {
+            let pool = WorkerPool::new(threads);
+            batch.fill_weighted(&g, &sources, delta, &mut scratch, &pool);
+            for (i, &s) in sources.iter().enumerate() {
+                assert_eq!(batch.row(i), dijkstra(&g, [s]).raw(), "row {i}");
+            }
+        }
+    }
+
     #[test]
     fn empty_and_singleton() {
         let empty = WeightedGraphBuilder::new(0).build();

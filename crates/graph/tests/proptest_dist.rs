@@ -7,7 +7,10 @@
 //!
 //! Covered per the refactor's acceptance bar: random G(n,p), paths, and
 //! grids; 1, 2, and 4 pool lanes; disconnected graphs (sentinel handling);
-//! and the `n = 1` edge case.
+//! and the `n = 1` edge case. The hub-heavy families (preferential
+//! attachment, stars, cliques, and multi-source sets with duplicates) are
+//! the shapes on which the kernel's bottom-up levels run, so both
+//! directions of the direction-optimizing BFS meet the reference.
 
 use nas_graph::{generators, BatchScratch, BfsScratch, DistanceBatch, DistanceMap, Graph};
 use nas_par::WorkerPool;
@@ -119,6 +122,59 @@ proptest! {
         let g = generators::grid2d(rows, cols);
         let n = g.num_vertices();
         let sources: Vec<usize> = picks.into_iter().map(|s| s % n).collect();
+        check_graph(&g, &sources);
+    }
+
+    /// Preferential attachment: hubs put most vertices within two or three
+    /// levels of any source, which is where the kernel turns bottom-up.
+    #[test]
+    fn flat_matches_naive_on_pref_attach(
+        n in 2usize..400,
+        attach in 1usize..6,
+        seed in 0u64..10_000,
+        picks in prop::collection::vec(0usize..400, 1..5),
+    ) {
+        let attach = attach.min(n - 1);
+        let g = generators::preferential_attachment(n, attach, seed);
+        let sources: Vec<usize> = picks.into_iter().map(|s| s % n).collect();
+        check_graph(&g, &sources);
+    }
+
+    /// Stars: from a leaf, level 2 is every other leaf; from the center,
+    /// level 1 is the whole graph.
+    #[test]
+    fn flat_matches_naive_on_stars(
+        n in 1usize..200,
+        picks in prop::collection::vec(0usize..200, 1..4),
+    ) {
+        let g = generators::star(n);
+        let sources: Vec<usize> = picks.into_iter().map(|s| s % n).collect();
+        check_graph(&g, &sources);
+    }
+
+    /// Complete graphs: one level holds every vertex but the source.
+    #[test]
+    fn flat_matches_naive_on_complete(
+        n in 1usize..40,
+        picks in prop::collection::vec(0usize..40, 1..4),
+    ) {
+        let g = generators::complete(n);
+        let sources: Vec<usize> = picks.into_iter().map(|s| s % n).collect();
+        check_graph(&g, &sources);
+    }
+
+    /// Multi-source sets with repeated sources on a hub-heavy graph: a
+    /// duplicate must neither re-seed a vertex nor count its arcs twice.
+    #[test]
+    fn flat_matches_naive_on_duplicate_sources(
+        n in 2usize..300,
+        seed in 0u64..10_000,
+        picks in prop::collection::vec(0usize..300, 1..4),
+        repeats in 2usize..4,
+    ) {
+        let g = generators::preferential_attachment(n, 3.min(n - 1), seed);
+        let base: Vec<usize> = picks.into_iter().map(|s| s % n).collect();
+        let sources: Vec<usize> = (0..repeats).flat_map(|_| base.iter().copied()).collect();
         check_graph(&g, &sources);
     }
 

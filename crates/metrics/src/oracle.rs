@@ -454,6 +454,22 @@ mod tests {
         assert_eq!(o.bfs_runs(), 1);
     }
 
+    /// One oracle batched at 2 lanes and then at 1 (its internal per-lane
+    /// scratch keeps the larger count; the daemon's snapshots hit this).
+    #[test]
+    fn batches_survive_fewer_lanes() {
+        let g = generators::grid2d(10, 10);
+        let mut o = SpannerOracle::new(g.clone());
+        let sources = [0, 45, 99];
+        let mut out = DistanceBatch::new();
+        for threads in [2, 1] {
+            o.distances_batch_into(&sources, &mut out, &WorkerPool::new(threads));
+            for (i, &s) in sources.iter().enumerate() {
+                assert_eq!(out.row(i), DistanceMap::from_source(&g, s).raw());
+            }
+        }
+    }
+
     /// Regression test: a `(u, v)` query right after a cached row for `v`
     /// must be answered by symmetry from that row, not by discarding it and
     /// re-running BFS from `u` (which the code did despite the comment

@@ -11,18 +11,23 @@ use nas_graph::{generators, DistanceBatch};
 use nas_metrics::SpannerOracle;
 use nas_par::WorkerPool;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// side effect with no influence on the returned memory.
+// side effect with no influence on the returned memory, and reading the
+// const-initialized, destructor-free `COUNTED` flag never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +36,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,12 +46,32 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// The harness runs the tests of one binary on parallel threads, so every
+/// test holds this lock for its whole body: one test's set-up allocations
+/// must not land in another test's counted window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread's allocations count. Only the threads that run
+    /// the code under test are switched on (see [`count_on`]): the harness's
+    /// main thread spawns and reaps test threads, allocating, while a
+    /// test's window is open.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Switches counting on or off for the calling thread and every lane of
+/// `pool` (lane 0 is the calling thread), the threads the audits run on.
+fn count_on(pool: &WorkerPool, on: bool) {
+    pool.broadcast(|_| COUNTED.with(|c| c.set(on)));
+}
+
 /// After one warmup batch, repeated batch audits of the same shape are
 /// allocation-free: the flat batch, the per-lane BFS scratches, and the
 /// shard cut tables are all reused, and the pool's job dispatch is
 /// allocation-free by construction.
 #[test]
 fn steady_state_batch_audit_performs_zero_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 600;
     let g = generators::connected_gnp(n, 6.0 / n as f64, 9);
     // 4 lanes regardless of host cores: the cross-thread dispatch machinery
@@ -59,11 +86,13 @@ fn steady_state_batch_audit_performs_zero_allocations() {
     oracle.distances_batch_into(&sources, &mut out, &pool);
     let warm = out.clone();
 
+    count_on(&pool, true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..32 {
         oracle.distances_batch_into(&sources, &mut out, &pool);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    count_on(&pool, false);
     assert_eq!(
         after - before,
         0,
@@ -75,11 +104,35 @@ fn steady_state_batch_audit_performs_zero_allocations() {
     assert_eq!(oracle.bfs_runs(), 33 * sources.len() as u64);
 }
 
+/// The same guarantee on a hub-heavy graph, where the BFS kernel runs its
+/// bottom-up levels: those reuse the row as the frontier test and the same
+/// swap frontiers, so they add no buffer.
+#[test]
+fn steady_state_zero_alloc_on_hub_graph() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 2000;
+    let pool = Arc::new(WorkerPool::new(2));
+    let mut oracle = SpannerOracle::new(generators::preferential_attachment(n, 4, 3));
+    let sources: Vec<usize> = (0..32).map(|i| i * n / 32).collect();
+    let mut out = DistanceBatch::new();
+    oracle.distances_batch_into(&sources, &mut out, &pool);
+
+    count_on(&pool, true);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..8 {
+        oracle.distances_batch_into(&sources, &mut out, &pool);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    count_on(&pool, false);
+    assert_eq!(after - before, 0, "hub-graph batch audit allocated");
+}
+
 /// The same guarantee holds when the batch alternates between two graphs
 /// of different sizes (the audit pattern: G rows and H rows through one
 /// scratch), once both shapes are warm.
 #[test]
 fn steady_state_zero_alloc_across_alternating_shapes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let big = generators::grid2d(30, 30);
     let small = generators::cycle(150);
     let pool = Arc::new(WorkerPool::new(3));
@@ -94,12 +147,14 @@ fn steady_state_zero_alloc_across_alternating_shapes() {
     big_oracle.distances_batch_into(&big_sources, &mut out_big, &pool);
     small_oracle.distances_batch_into(&small_sources, &mut out_small, &pool);
 
+    count_on(&pool, true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..16 {
         big_oracle.distances_batch_into(&big_sources, &mut out_big, &pool);
         small_oracle.distances_batch_into(&small_sources, &mut out_small, &pool);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    count_on(&pool, false);
     assert_eq!(
         after - before,
         0,
