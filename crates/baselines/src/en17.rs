@@ -22,7 +22,7 @@
 //! matching EN17's stated bound. This substitution is recorded in
 //! DESIGN.md.
 
-use nas_congest::RunStats;
+use nas_congest::{RunHooks, RunStats};
 use nas_core::algo1;
 use nas_core::interconnect;
 use nas_core::supercluster;
@@ -182,7 +182,8 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
         let info = match dist_cap_factor {
             None => algo1::algo1_centralized(g, &is_center, cap, delta[i]),
             Some(_) => {
-                let (info, s) = algo1::algo1_distributed(g, &is_center, cap, delta[i]);
+                let (info, s) =
+                    algo1::algo1_distributed(g, &is_center, cap, delta[i], &mut RunHooks::none());
                 phase_rounds += s.rounds;
                 stats.merge(&s);
                 info
@@ -200,8 +201,13 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
             let sc = match dist_cap_factor {
                 None => supercluster::supercluster_centralized(g, &roots, &centers, delta[i]),
                 Some(_) => {
-                    let (sc, s) =
-                        supercluster::supercluster_distributed(g, &roots, &centers, delta[i]);
+                    let (sc, s) = supercluster::supercluster_distributed(
+                        g,
+                        &roots,
+                        &centers,
+                        delta[i],
+                        &mut RunHooks::none(),
+                    );
                     phase_rounds += s.rounds;
                     stats.merge(&s);
                     sc
@@ -226,9 +232,12 @@ fn build_en17(g: &Graph, params: En17Params, dist_cap_factor: Option<usize>) -> 
         let inter = match dist_cap_factor {
             None => interconnect::interconnect_centralized(g, &info, &settled_centers),
             Some(_) => {
-                let max_rounds = cap as u64 * delta[i] + delta[i] + 4;
-                let (inter, s) =
-                    interconnect::interconnect_distributed(g, &info, &settled_centers, max_rounds);
+                let (inter, s) = interconnect::interconnect_distributed(
+                    g,
+                    &info,
+                    &settled_centers,
+                    &mut RunHooks::none(),
+                );
                 phase_rounds += s.rounds;
                 stats.merge(&s);
                 inter

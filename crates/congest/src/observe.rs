@@ -145,8 +145,8 @@ pub struct RunHooks<'a> {
 }
 
 impl RunHooks<'static> {
-    /// Hooks with no observer and no pool — the silent default every
-    /// legacy entry point runs with.
+    /// Hooks with no observer and no pool — what a caller without a
+    /// session passes to run a protocol unobserved.
     pub fn none() -> Self {
         RunHooks {
             observer: None,

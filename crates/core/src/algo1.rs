@@ -669,21 +669,12 @@ impl NodeProgram for Algo1Protocol {
 /// Runs Algorithm 1 on the CONGEST simulator.
 ///
 /// Returns the same [`PopularityInfo`] as [`algo1_centralized`] plus the
-/// exact round/message accounting.
+/// exact round/message accounting. The simulator run reports to `hooks`'
+/// round observer (which may cancel it) and attaches `hooks`' worker pool;
+/// pass [`RunHooks::none`] to run unobserved. On cancellation
+/// (`hooks.stopped`) the returned knowledge is truncated mid-protocol —
+/// callers must check the flag and discard it.
 pub fn algo1_distributed(
-    g: &Graph,
-    is_center: &[bool],
-    deg: usize,
-    delta: u64,
-) -> (PopularityInfo, RunStats) {
-    algo1_distributed_hooked(g, is_center, deg, delta, &mut RunHooks::none())
-}
-
-/// [`algo1_distributed`] with execution hooks: the simulator run reports to
-/// `hooks`' round observer (which may cancel it) and attaches `hooks`'
-/// worker pool. On cancellation (`hooks.stopped`) the returned knowledge is
-/// truncated mid-protocol — callers must check the flag and discard it.
-pub fn algo1_distributed_hooked(
     g: &Graph,
     is_center: &[bool],
     deg: usize,
@@ -840,7 +831,7 @@ mod tests {
             let n = g.num_vertices();
             let centers = all_centers(n);
             let a = algo1_centralized(&g, &centers, deg, delta);
-            let (b, stats) = algo1_distributed(&g, &centers, deg, delta);
+            let (b, stats) = algo1_distributed(&g, &centers, deg, delta, &mut RunHooks::none());
             assert_eq!(a, b, "mismatch on n={n}, deg={deg}, delta={delta}");
             assert_eq!(stats.rounds, algo1_rounds(deg, delta));
         }
@@ -851,7 +842,7 @@ mod tests {
         let g = generators::connected_gnp(70, 0.05, 23);
         let is_center: Vec<bool> = (0..70).map(|v| v % 3 == 0).collect();
         let a = algo1_centralized(&g, &is_center, 4, 5);
-        let (b, _) = algo1_distributed(&g, &is_center, 4, 5);
+        let (b, _) = algo1_distributed(&g, &is_center, 4, 5, &mut RunHooks::none());
         assert_eq!(a, b);
     }
 

@@ -29,7 +29,7 @@ use crate::interconnect::{self, Interconnection};
 use crate::supercluster::{self, Superclustering};
 use nas_congest::{RunHooks, RunStats};
 use nas_graph::Graph;
-use nas_ruling::{ruling_set_centralized, ruling_set_distributed_hooked, RulingParams, RulingSet};
+use nas_ruling::{ruling_set_centralized, ruling_set_distributed, RulingParams, RulingSet};
 
 /// The per-phase primitives the spanner phase loop is generic over.
 ///
@@ -94,8 +94,9 @@ pub trait PhaseEngine {
     /// `U_i`) connects to all centers it knows, along the exact shortest
     /// paths recorded by Algorithm 1's parent pointers.
     ///
-    /// `deg` and `delta` are the phase thresholds — distributed engines
-    /// derive their trace-back round budget from them.
+    /// `deg` and `delta` are the phase thresholds. The engines in this crate
+    /// ignore them: [`CongestEngine`]'s trace-back round cap is derived from
+    /// the thresholds `info` was gathered with.
     fn interconnect(
         &mut self,
         g: &Graph,
@@ -236,7 +237,7 @@ impl PhaseEngine for CongestEngine {
         hooks: &mut RunHooks<'_>,
     ) -> PopularityInfo {
         self.timed("algo1", |_| {
-            algo1::algo1_distributed_hooked(g, is_center, deg, delta, hooks)
+            algo1::algo1_distributed(g, is_center, deg, delta, hooks)
         })
     }
 
@@ -247,9 +248,7 @@ impl PhaseEngine for CongestEngine {
         params: RulingParams,
         hooks: &mut RunHooks<'_>,
     ) -> RulingSet {
-        self.timed("ruling", |_| {
-            ruling_set_distributed_hooked(g, w, params, hooks)
-        })
+        self.timed("ruling", |_| ruling_set_distributed(g, w, params, hooks))
     }
 
     fn supercluster(
@@ -261,7 +260,7 @@ impl PhaseEngine for CongestEngine {
         hooks: &mut RunHooks<'_>,
     ) -> Superclustering {
         self.timed("supercluster", |_| {
-            supercluster::supercluster_distributed_hooked(g, roots, centers, depth, hooks)
+            supercluster::supercluster_distributed(g, roots, centers, depth, hooks)
         })
     }
 
@@ -270,15 +269,12 @@ impl PhaseEngine for CongestEngine {
         g: &Graph,
         info: &PopularityInfo,
         initiators: &[usize],
-        deg: usize,
-        delta: u64,
+        _deg: usize,
+        _delta: u64,
         hooks: &mut RunHooks<'_>,
     ) -> Interconnection {
-        // Trace-backs complete within δ·(deg+1) + 4 rounds (Lemma 2.6's
-        // pipelining argument with our exact constants).
-        let max_rounds = deg as u64 * delta + delta + 4;
         self.timed("interconnect", |_| {
-            interconnect::interconnect_distributed_hooked(g, info, initiators, max_rounds, hooks)
+            interconnect::interconnect_distributed(g, info, initiators, hooks)
         })
     }
 

@@ -1,14 +1,14 @@
 //! The **entire construction as one CONGEST protocol** — the engine-free
 //! cross-check of the [`crate::engine::PhaseEngine`] backends.
 //!
-//! [`crate::driver::build_distributed`] runs the shared phase loop over a
+//! `Backend::Congest` runs the shared phase loop over a
 //! [`crate::engine::CongestEngine`], which executes each step in its own
 //! simulator and stitches results together outside the network — faithful
 //! for round accounting, but the stitching uses global knowledge (e.g. it
 //! skips the ruling set when `W_i` is empty, something no real node could
 //! know).
 //!
-//! This module removes even that: [`run_full_protocol`] runs **one**
+//! This module (`Backend::Full`) removes even that: it runs **one**
 //! simulation in which every stage transition is made *locally* by each
 //! node, exactly as the paper's vertices do — by counting rounds against the
 //! schedule all nodes can derive from `(n, ε, κ, ρ)`:
@@ -30,7 +30,7 @@
 use crate::algo1::{algo1_rounds, Algo1Protocol};
 use crate::driver::PhaseStats;
 use crate::interconnect::TraceProtocol;
-use crate::params::{ParamError, Params, Schedule};
+use crate::params::{Params, Schedule};
 use crate::session::{Conduit, SessionError};
 use crate::supercluster::SuperclusterProtocol;
 use nas_congest::{NodeProgram, RoundCtx, RunStats, Simulator};
@@ -209,49 +209,10 @@ impl NodeProgram for FullProtocol {
     }
 }
 
-/// Result of the single-simulation composite run.
-#[derive(Debug, Clone)]
-pub struct FullProtocolResult {
-    /// The spanner edge set.
-    pub spanner: EdgeSet,
-    /// Measured cost; `stats.rounds` equals the fixed schedule length.
-    pub stats: RunStats,
-    /// The schedule executed.
-    pub schedule: Schedule,
-}
-
-/// Runs the entire construction as a single CONGEST protocol.
-///
-/// Thin legacy shim — prefer
-/// `Session::on(g).params(p).backend(Backend::Full).run()`, whose unified
-/// `Report` adds per-window phase records and the observer event plane.
-///
-/// # Errors
-///
-/// Propagates parameter/schedule validation errors.
-#[deprecated(note = "use nas_core::Session with Backend::Full instead")]
-pub fn run_full_protocol(g: &Graph, params: Params) -> Result<FullProtocolResult, ParamError> {
-    // Multi-core round execution on the shared pool (NAS_THREADS honored);
-    // transcripts and stats are bit-identical to the sequential path, so
-    // the golden engine digests hold at every thread count.
-    let global = nas_par::global_arc();
-    let pool = (global.threads() > 1).then_some(global);
-    let mut ctl = Conduit::noop();
-    let (spanner, stats, schedule, _phases) =
-        run_full_ctl(g, params, &mut ctl, pool.as_ref(), None)
-            .map_err(SessionError::expect_param)?;
-    Ok(FullProtocolResult {
-        spanner,
-        stats,
-        schedule,
-    })
-}
-
-/// The observed composite run behind [`run_full_protocol`] and
-/// `Session::run` with `Backend::Full`: drives the single simulation one
-/// schedule window at a time, emitting `PhaseStarted` / `PhaseFinished`
-/// through `ctl` and reporting every round to its observer (which may
-/// cancel on budget exhaustion).
+/// The observed composite run behind `Session::run` with `Backend::Full`:
+/// drives the single simulation one schedule window at a time, emitting
+/// `PhaseStarted` / `PhaseFinished` through `ctl` and reporting every round
+/// to its observer (which may cancel on budget exhaustion).
 ///
 /// The per-phase records carry only the window quantities every node can
 /// derive locally (`δ_i`, `deg_i`, rounds); the structural counters
@@ -313,12 +274,17 @@ pub(crate) fn run_full_ctl(
 
 #[cfg(test)]
 mod tests {
-    // These tests deliberately pin the legacy shims' behavior.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::{build_centralized, build_distributed};
+    use crate::session::{Backend, Report, Session};
     use nas_graph::generators;
+
+    fn run(g: &Graph, params: Params, backend: Backend) -> Report {
+        Session::on(g)
+            .params(params)
+            .backend(backend)
+            .run()
+            .unwrap()
+    }
 
     fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
         let mut v: Vec<_> = s.iter().collect();
@@ -335,9 +301,9 @@ mod tests {
             ("complete(14)", generators::complete(14)),
             ("cycle(18)", generators::cycle(18)),
         ] {
-            let central = build_centralized(&g, params).unwrap();
-            let staged = build_distributed(&g, params).unwrap();
-            let full = run_full_protocol(&g, params).unwrap();
+            let central = run(&g, params, Backend::Centralized);
+            let staged = run(&g, params, Backend::Congest);
+            let full = run(&g, params, Backend::Full);
             assert_eq!(
                 sorted(&central.spanner),
                 sorted(&full.spanner),
@@ -358,7 +324,7 @@ mod tests {
     fn rounds_equal_fixed_schedule_length() {
         let params = Params::practical(0.5, 4, 0.45);
         let g = generators::connected_gnp(24, 0.15, 9);
-        let full = run_full_protocol(&g, params).unwrap();
+        let full = run(&g, params, Backend::Full);
         let w = super::windows(&full.schedule, 24);
         assert_eq!(full.stats.rounds, w.last().unwrap().end);
         // And the fixed length respects the per-phase bound of Lemma 2.8.
@@ -369,8 +335,8 @@ mod tests {
     fn deterministic_transcript() {
         let params = Params::practical(0.5, 4, 0.45);
         let g = generators::preferential_attachment(26, 2, 3);
-        let a = run_full_protocol(&g, params).unwrap();
-        let b = run_full_protocol(&g, params).unwrap();
+        let a = run(&g, params, Backend::Full);
+        let b = run(&g, params, Backend::Full);
         assert_eq!(a.stats, b.stats);
         assert_eq!(sorted(&a.spanner), sorted(&b.spanner));
     }

@@ -205,29 +205,23 @@ impl NodeProgram for TraceProtocol {
 
 /// Runs the distributed interconnection step.
 ///
-/// `max_rounds` caps the run (use `deg·δ + δ + 4`); the protocol must go
-/// quiet within it, which is asserted.
+/// The run is capped at `deg·δ + δ + 4` rounds, with `deg` and `δ` the
+/// thresholds `info` was gathered with ([`PopularityInfo::deg`],
+/// [`PopularityInfo::delta`]); the protocol must go quiet within the cap,
+/// which is asserted. The simulator run reports to `hooks`' round observer
+/// (which may cancel it) and attaches `hooks`' worker pool; pass
+/// [`RunHooks::none`] to run unobserved. On cancellation (`hooks.stopped`)
+/// the must-go-quiet assertion is waived and the returned edges are
+/// partial — callers must check the flag and discard them.
 pub fn interconnect_distributed(
     g: &Graph,
     info: &PopularityInfo,
     initiators: &[usize],
-    max_rounds: u64,
-) -> (Interconnection, RunStats) {
-    interconnect_distributed_hooked(g, info, initiators, max_rounds, &mut RunHooks::none())
-}
-
-/// [`interconnect_distributed`] with execution hooks: the simulator run
-/// reports to `hooks`' round observer (which may cancel it) and attaches
-/// `hooks`' worker pool. On cancellation (`hooks.stopped`) the
-/// must-go-quiet assertion is waived and the returned edges are partial —
-/// callers must check the flag and discard them.
-pub fn interconnect_distributed_hooked(
-    g: &Graph,
-    info: &PopularityInfo,
-    initiators: &[usize],
-    max_rounds: u64,
     hooks: &mut RunHooks<'_>,
 ) -> (Interconnection, RunStats) {
+    // Trace-backs complete within δ·(deg+1) + 4 rounds (Lemma 2.6's
+    // pipelining argument with our exact constants).
+    let max_rounds = info.deg as u64 * info.delta + info.delta + 4;
     let n = g.num_vertices();
     let mut is_initiator = vec![false; n];
     for &v in initiators {
@@ -278,8 +272,7 @@ mod tests {
             .collect();
         let initiators = initiators.as_slice();
         let a = interconnect_centralized(g, &info, initiators);
-        let max = deg as u64 * delta + delta + 4;
-        let (b, _) = interconnect_distributed(g, &info, initiators, max);
+        let (b, _) = interconnect_distributed(g, &info, initiators, &mut RunHooks::none());
 
         let mut ae: Vec<_> = a.edges.iter().collect();
         let mut be: Vec<_> = b.edges.iter().collect();
@@ -341,7 +334,7 @@ mod tests {
         let a = interconnect_centralized(&g, &info, &[]);
         assert!(a.edges.is_empty());
         assert_eq!(a.paths, 0);
-        let (b, stats) = interconnect_distributed(&g, &info, &[], 50);
+        let (b, stats) = interconnect_distributed(&g, &info, &[], &mut RunHooks::none());
         assert!(b.edges.is_empty());
         // Quiet immediately after the first round.
         assert!(stats.rounds <= 2);
@@ -355,7 +348,7 @@ mod tests {
         let info = algo1_centralized(&g, &[true; 6], 10, 2);
         let initiators = vec![2, 3, 4, 5];
         let a = interconnect_centralized(&g, &info, &initiators);
-        let (b, _) = interconnect_distributed(&g, &info, &initiators, 100);
+        let (b, _) = interconnect_distributed(&g, &info, &initiators, &mut RunHooks::none());
         let mut ae: Vec<_> = a.edges.iter().collect();
         let mut be: Vec<_> = b.edges.iter().collect();
         ae.sort_unstable();

@@ -1,10 +1,8 @@
 //! The unified, fluent entry point: [`Session`] → [`Report`].
 //!
-//! Before this module, every caller picked one of four free functions
-//! (`build_centralized`, `build_distributed`, `build_local`,
-//! `run_full_protocol`) returning three incompatible result types, and
-//! re-wired parameters, thread pools, and statistics by hand. A `Session`
-//! replaces all of that with one composable builder:
+//! One composable builder configures a run — parameters, backend, worker
+//! pool, round budget, observer — and every backend returns the same
+//! [`Report`]:
 //!
 //! ```
 //! use nas_core::{Backend, Params, Session};
@@ -304,8 +302,8 @@ impl From<ParamError> for SessionError {
 
 impl SessionError {
     /// Unwraps the [`SessionError::Param`] variant on code paths that
-    /// configure no round budget (the silent legacy shims), where budget
-    /// exhaustion is impossible by construction.
+    /// configure no round budget (the silent [`crate::build_with_engine`]
+    /// seam), where budget exhaustion is impossible by construction.
     pub(crate) fn expect_param(self) -> ParamError {
         match self {
             SessionError::Param(p) => p,
@@ -331,9 +329,7 @@ pub struct StretchSummary {
     pub beta_envelope: f64,
 }
 
-/// The unified result of a [`Session`] run — one type for every backend,
-/// replacing the historical `SpannerResult` / `LocalRunResult` /
-/// `FullProtocolResult` triple.
+/// The unified result of a [`Session`] run — one type for every backend.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// The backend that executed the run.
@@ -483,8 +479,8 @@ impl<'o> Conduit<'o> {
         self.fast_forward
     }
 
-    /// A silent conduit with no budget — what the legacy entry points run
-    /// with; every emission and check below is a no-op.
+    /// A silent conduit with no budget — what [`crate::build_with_engine`]
+    /// runs with; every emission and check below is a no-op.
     pub(crate) fn noop() -> Conduit<'static> {
         Conduit::new(None, None)
     }

@@ -233,21 +233,12 @@ impl NodeProgram for SuperclusterProtocol {
 }
 
 /// Runs the distributed superclustering step and packages the result.
+///
+/// The simulator run reports to `hooks`' round observer (which may cancel
+/// it) and attaches `hooks`' worker pool; pass [`RunHooks::none`] to run
+/// unobserved. On cancellation (`hooks.stopped`) the returned forest is
+/// truncated mid-protocol — callers must check the flag and discard it.
 pub fn supercluster_distributed(
-    g: &Graph,
-    roots: &[usize],
-    centers: &[usize],
-    depth: u64,
-) -> (Superclustering, RunStats) {
-    supercluster_distributed_hooked(g, roots, centers, depth, &mut RunHooks::none())
-}
-
-/// [`supercluster_distributed`] with execution hooks: the simulator run
-/// reports to `hooks`' round observer (which may cancel it) and attaches
-/// `hooks`' worker pool. On cancellation (`hooks.stopped`) the returned
-/// forest is truncated mid-protocol — callers must check the flag and
-/// discard it.
-pub fn supercluster_distributed_hooked(
     g: &Graph,
     roots: &[usize],
     centers: &[usize],
@@ -346,7 +337,8 @@ mod tests {
             let n = g.num_vertices();
             let centers: Vec<usize> = (0..n).filter(|v| v % 2 == 0).collect();
             let a = supercluster_centralized(&g, &roots, &centers, depth);
-            let (b, stats) = supercluster_distributed(&g, &roots, &centers, depth);
+            let (b, stats) =
+                supercluster_distributed(&g, &roots, &centers, depth, &mut RunHooks::none());
             assert_eq!(a.root, b.root, "roots differ");
             assert_eq!(a.assignment, b.assignment, "assignment differs");
             // Path edge sets are equal (as sets).

@@ -25,8 +25,7 @@
 //!   docs for the bucket/reactivation pattern and the saturation
 //!   convention;
 //! * breadth-first search in several flavors ([`bfs`]): depth-limited
-//!   forests with parent tracking, eccentricity, plus the deprecated
-//!   `Option`-row adapters of the historical distance surface;
+//!   forests with parent tracking and eccentricity;
 //! * exact all-pairs shortest paths ([`apsp`]) used by the stretch audits;
 //! * connectivity utilities ([`connectivity`]);
 //! * an [`EdgeSet`] for accumulating spanner edges and turning them back into

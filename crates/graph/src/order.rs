@@ -1,38 +1,21 @@
-//! Locality renumbering for the compressed graph store.
+//! Vertex renumbering: an explicit [`Permutation`] (forward + inverse
+//! maps) that relabels a graph ([`Permutation::apply`]) and maps
+//! per-vertex rows computed in the renumbered space back to original ids
+//! ([`Permutation::map_row_back`]).
 //!
-//! The delta/varint codec in [`crate::compact`] pays per-arc bytes
-//! proportional to `log2(gap)` — so a vertex order under which neighbors
-//! carry nearby ids compresses better *and* keeps neighbor decodes
-//! cache-local. This module produces such orders as explicit
-//! [`Permutation`]s (forward + inverse), applies them
-//! ([`Permutation::apply`]), and maps per-vertex results computed in the
-//! renumbered space back to original ids
-//! ([`Permutation::map_row_back`]) so public outputs stay **bit-identical**
-//! to the unrenumbered run — pinned by the tests below.
-//!
-//! Orders provided:
-//!
-//! * [`bfs_order`] — breadth-first layering from each component's
-//!   smallest-id vertex: neighbors land within a frontier's width of each
-//!   other. The general-purpose choice for mesh/path/tree-like workloads.
-//! * [`degree_bucketed_order`] — hubs first (descending degree, stable):
-//!   preferential-attachment hubs that mostly link to each other and to
-//!   early vertices get small mutual deltas.
-//! * [`morton_order`] / [`hilbert_order`] — space-filling curves for the
-//!   `rows × cols` grid workloads of [`crate::generators::grid2d`]:
-//!   4-neighbors stay within one curve block, giving near-constant deltas.
+//! A typical use is moving which vertices a fixed-position computation
+//! touches without changing its answer: an audit that samples sources at
+//! fixed ids, run on a rotated copy of the graph, samples a different
+//! (seeded) source set while every distance stays the same.
 //!
 //! # Equivariance caveat
 //!
 //! Mapping back restores any *relabel-equivariant* output exactly:
-//! distances, reachability, audit stretch. Outputs that break ties by
-//! vertex id (the spanner's cluster elections do) are **not** equivariant —
-//! a renumbered run may legally pick a different, equally valid spanner.
-//! The simulator therefore runs the compact store over the *original*
-//! numbering unless the caller opts into an order for an equivariant
-//! computation.
+//! distances, reachability, audit stretch — pinned by the tests below.
+//! Outputs that break ties by vertex id (the spanner's cluster elections
+//! do) are **not** equivariant: a renumbered run may legally pick a
+//! different, equally valid spanner.
 
-use crate::dist::{BfsScratch, DistanceMap};
 use crate::graph::Graph;
 
 /// A vertex renumbering: a bijection `old id → new id` plus its inverse.
@@ -153,129 +136,10 @@ impl Permutation {
     }
 }
 
-/// Breadth-first renumbering: components are explored from their
-/// smallest-id vertex in ascending component order, vertices numbered in
-/// BFS visit order (layer by layer, adjacency order within a layer).
-/// Deterministic for a given graph.
-pub fn bfs_order(g: &Graph) -> Permutation {
-    let n = g.num_vertices();
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    for root in 0..n {
-        if seen[root] {
-            continue;
-        }
-        seen[root] = true;
-        queue.push_back(root as u32);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &u in g.neighbors(v as usize) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-    }
-    Permutation::from_new_order(&order)
-}
-
-/// Hubs-first renumbering: vertices sorted by descending degree, ties by
-/// ascending original id (a stable bucketing). Deterministic.
-pub fn degree_bucketed_order(g: &Graph) -> Permutation {
-    let n = g.num_vertices();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v as usize)), v));
-    Permutation::from_new_order(&order)
-}
-
-/// Interleaves the low 32 bits of `x` into even bit positions.
-#[inline]
-fn spread_bits(mut x: u64) -> u64 {
-    x &= 0xffff_ffff;
-    x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
-    x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
-    x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-    x
-}
-
-/// Morton (Z-order) renumbering for a `rows × cols` grid laid out as
-/// [`crate::generators::grid2d`] (vertex `(r, c)` has id `r * cols + c`):
-/// vertices sorted by interleaved `(r, c)` bits, ties impossible.
-pub fn morton_order(rows: usize, cols: usize) -> Permutation {
-    let n = rows * cols;
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&v| {
-        let r = v as usize / cols;
-        let c = v as usize % cols;
-        spread_bits(r as u64) << 1 | spread_bits(c as u64)
-    });
-    Permutation::from_new_order(&order)
-}
-
-/// Maps grid coordinates to their index along a Hilbert curve of order
-/// `k` (side `2^k`) — the classical bit-twiddling walk.
-fn hilbert_d(k: u32, mut x: u64, mut y: u64) -> u64 {
-    let side = 1u64 << k;
-    let mut d = 0u64;
-    let mut s = side / 2;
-    while s > 0 {
-        let rx = u64::from((x & s) > 0);
-        let ry = u64::from((y & s) > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        // Rotate the quadrant so the sub-curve enters on the right side.
-        if ry == 0 {
-            if rx == 1 {
-                x = side - 1 - x;
-                y = side - 1 - y;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s /= 2;
-    }
-    d
-}
-
-/// Hilbert-curve renumbering for a `rows × cols` grid laid out as
-/// [`crate::generators::grid2d`]: vertices sorted by their position along
-/// a Hilbert curve covering the bounding `2^k` square. Better worst-case
-/// locality than [`morton_order`] (no long diagonal jumps between
-/// quadrant corners).
-pub fn hilbert_order(rows: usize, cols: usize) -> Permutation {
-    let n = rows * cols;
-    let side = rows.max(cols).max(1).next_power_of_two();
-    let k = side.trailing_zeros().max(1);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&v| {
-        let r = (v as usize / cols) as u64;
-        let c = (v as usize % cols) as u64;
-        hilbert_d(k, c, r)
-    });
-    Permutation::from_new_order(&order)
-}
-
-/// BFS distances computed in a renumbered space and mapped back equal the
-/// original-space distances — the equivariance fact the map-back tests
-/// pin. Exposed as a helper so integration tests and audits can assert it
-/// cheaply on arbitrary graphs.
-pub fn check_bfs_equivariance(g: &Graph, perm: &Permutation, source: usize) -> bool {
-    let gp = perm.apply(g);
-    let mut scratch = BfsScratch::new();
-    let mut orig = DistanceMap::new();
-    orig.fill(g, [source], &mut scratch);
-    let mut renum = DistanceMap::new();
-    renum.fill(&gp, [perm.new_id(source)], &mut scratch);
-    let mut back = Vec::new();
-    perm.map_row_back(renum.raw(), &mut back);
-    back.as_slice() == orig.raw()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::DistanceMap;
     use crate::generators;
 
     fn check_is_permutation(p: &Permutation, n: usize) {
@@ -283,6 +147,13 @@ mod tests {
         for old in 0..n {
             assert_eq!(p.old_id(p.new_id(old)), old);
         }
+    }
+
+    /// The rotation `old → (old + offset) mod n`, built from its new-order
+    /// listing `order[new] = (new − offset) mod n`.
+    fn rotation(n: usize, offset: usize) -> Permutation {
+        let order: Vec<u32> = (0..n).map(|new| ((new + n - offset) % n) as u32).collect();
+        Permutation::from_new_order(&order)
     }
 
     #[test]
@@ -294,62 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn bfs_order_is_a_permutation_and_equivariant() {
-        for g in [
-            generators::path(64),
-            generators::grid2d(9, 11),
-            generators::gnp(120, 0.04, 3), // possibly disconnected
-            generators::preferential_attachment(150, 2, 5),
-        ] {
-            let p = bfs_order(&g);
-            check_is_permutation(&p, g.num_vertices());
-            let gp = p.apply(&g);
-            assert_eq!(gp.num_edges(), g.num_edges());
-            assert!(check_bfs_equivariance(&g, &p, 0));
-            assert!(check_bfs_equivariance(&g, &p, g.num_vertices() / 2));
-        }
-    }
-
-    #[test]
-    fn degree_bucketed_order_puts_hubs_first() {
-        let g = generators::star(10);
-        let p = degree_bucketed_order(&g);
-        // The center (highest degree) gets new id 0.
-        let center = (0..10).max_by_key(|&v| g.degree(v)).unwrap();
-        assert_eq!(p.new_id(center), 0);
-        check_is_permutation(&p, 10);
-        assert!(check_bfs_equivariance(&g, &p, 3));
-    }
-
-    #[test]
-    fn morton_and_hilbert_cover_grids() {
-        for (r, c) in [(8, 8), (5, 13), (16, 4), (1, 7)] {
-            let g = generators::grid2d(r, c);
-            for p in [morton_order(r, c), hilbert_order(r, c)] {
-                check_is_permutation(&p, r * c);
-                assert_eq!(p.apply(&g).num_edges(), g.num_edges());
-                assert!(check_bfs_equivariance(&g, &p, 0));
-            }
-        }
-    }
-
-    #[test]
-    fn locality_orders_shrink_grid_encoding() {
-        use crate::compact::CompactGraph;
-        let (r, c) = (64, 64);
-        let g = generators::grid2d(r, c);
-        let plain = CompactGraph::from_graph(&g).bytes_per_edge();
-        let hilbert = CompactGraph::from_graph(&hilbert_order(r, c).apply(&g)).bytes_per_edge();
-        // Row-major grids already have one unit-delta direction; the curve
-        // must not lose to it, and must beat the flat 4 B/arc soundly.
-        assert!(hilbert <= plain + 0.1, "hilbert {hilbert} vs plain {plain}");
-        assert!(hilbert < 2.0, "hilbert {hilbert}");
-    }
-
-    #[test]
     fn map_row_back_restores_original_indexing() {
         let g = generators::grid2d(6, 7);
-        let p = bfs_order(&g);
+        let p = rotation(g.num_vertices(), 5);
+        assert_eq!(p.new_id(0), 5);
         let gp = p.apply(&g);
         let renum = DistanceMap::from_source(&gp, p.new_id(17));
         let orig = DistanceMap::from_source(&g, 17);
@@ -359,33 +178,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "listed twice")]
-    fn duplicate_order_entries_panic() {
-        Permutation::from_new_order(&[0, 1, 1]);
+    fn apply_preserves_bfs_distances_after_map_back() {
+        for g in [
+            generators::path(64),
+            generators::grid2d(9, 11),
+            generators::gnp(120, 0.04, 3), // possibly disconnected
+            generators::preferential_attachment(150, 2, 5),
+        ] {
+            let n = g.num_vertices();
+            let reversal: Vec<u32> = (0..n as u32).rev().collect();
+            for p in [rotation(n, n / 3), Permutation::from_new_order(&reversal)] {
+                check_is_permutation(&p, n);
+                let gp = p.apply(&g);
+                assert_eq!(gp.num_edges(), g.num_edges());
+                let mut back = Vec::new();
+                for source in [0, n / 2, n - 1] {
+                    let orig = DistanceMap::from_source(&g, source);
+                    let renum = DistanceMap::from_source(&gp, p.new_id(source));
+                    p.map_row_back(renum.raw(), &mut back);
+                    assert_eq!(back.as_slice(), orig.raw(), "source {source}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn hilbert_d_walks_unit_steps() {
-        // Successive curve positions are grid neighbors — the locality
-        // property that makes the order worth it.
-        let k = 3;
-        let side = 1u64 << k;
-        let mut by_d: Vec<(u64, u64, u64)> = Vec::new();
-        for y in 0..side {
-            for x in 0..side {
-                by_d.push((hilbert_d(k, x, y), x, y));
-            }
-        }
-        by_d.sort_unstable();
-        for w in by_d.windows(2) {
-            let (d0, x0, y0) = w[0];
-            let (d1, x1, y1) = w[1];
-            assert_eq!(d1, d0 + 1, "curve positions must be distinct and dense");
-            assert_eq!(
-                x0.abs_diff(x1) + y0.abs_diff(y1),
-                1,
-                "step {d0}->{d1} not a unit move"
-            );
-        }
+    #[should_panic(expected = "listed twice")]
+    fn duplicate_order_entries_panic() {
+        Permutation::from_new_order(&[0, 1, 1]);
     }
 }

@@ -2,8 +2,7 @@
 //! BFS ([`DistanceMap`] / [`DistanceBatch`]) against a **retained naive
 //! `Option`-row reference** — a verbatim transcription of the pre-refactor
 //! `bfs::distances` implementation, kept independent here so the
-//! comparison is not tautological (the deprecated shims now delegate to
-//! the flat plane themselves).
+//! comparison is not tautological.
 //!
 //! Covered per the refactor's acceptance bar: random G(n,p), paths, and
 //! grids; 1, 2, and 4 pool lanes; disconnected graphs (sentinel handling);
@@ -208,33 +207,4 @@ fn single_vertex_graph() {
     let g = generators::path(1);
     check_graph(&g, &[0]);
     check_graph(&g, &[0, 0]);
-}
-
-/// The deprecated `Option`-row shims are bit-equivalent to the naive
-/// reference too (adapter transitivity: shim == flat == naive).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_match_naive_reference() {
-    use nas_graph::bfs;
-    let g = generators::gnp(45, 0.06, 77);
-    for s in [0usize, 7, 44] {
-        assert_eq!(bfs::distances(&g, s), naive_single(&g, s));
-    }
-    assert_eq!(
-        bfs::multi_source_distances(&g, [3, 9, 3]),
-        naive_multi_source(&g, &[3, 9, 3])
-    );
-    for threads in [1usize, 2, 4] {
-        let pool = WorkerPool::new(threads);
-        let sources = [1usize, 8, 8, 30];
-        let rows = bfs::par_distances(&g, &sources, &pool);
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(rows[i], naive_single(&g, s), "row {i} at {threads} lanes");
-        }
-        let sets: Vec<&[usize]> = vec![&[0], &[5, 12], &[44, 0, 1]];
-        let rows = bfs::par_multi_source_distances(&g, &sets, &pool);
-        for (i, set) in sets.iter().enumerate() {
-            assert_eq!(rows[i], naive_multi_source(&g, set), "set {i}");
-        }
-    }
 }

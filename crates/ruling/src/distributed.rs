@@ -195,29 +195,17 @@ impl NodeProgram for RulingProtocol {
 /// test suite); killer pointers may differ between the two implementations
 /// but both satisfy the `cq` domination radius.
 ///
+/// The simulator run reports to `hooks`' round observer (which may cancel
+/// it) and attaches `hooks`' worker pool; pass [`RunHooks::none`] to run
+/// unobserved. When the observer cancels the run (`hooks.stopped`), the
+/// returned set is assembled from the truncated protocol state and is
+/// **not** a valid ruling set — callers must check `hooks.stopped` and
+/// discard it.
+///
 /// # Panics
 ///
 /// Panics if a vertex of `w` is out of range.
 pub fn ruling_set_distributed(
-    g: &Graph,
-    w: &[usize],
-    params: RulingParams,
-) -> (RulingSet, RunStats) {
-    ruling_set_distributed_hooked(g, w, params, &mut RunHooks::none())
-}
-
-/// [`ruling_set_distributed`] with execution hooks: the simulator run
-/// reports to `hooks`' round observer (which may cancel it) and attaches
-/// `hooks`' worker pool.
-///
-/// When the observer cancels the run (`hooks.stopped`), the returned set is
-/// assembled from the truncated protocol state and is **not** a valid
-/// ruling set — callers must check `hooks.stopped` and discard it.
-///
-/// # Panics
-///
-/// Panics if a vertex of `w` is out of range.
-pub fn ruling_set_distributed_hooked(
     g: &Graph,
     w: &[usize],
     params: RulingParams,
@@ -293,7 +281,7 @@ mod tests {
                 RulingParams::new(4, 2),
             ] {
                 let central = ruling_set_centralized(g, &w, params);
-                let (dist, stats) = ruling_set_distributed(g, &w, params);
+                let (dist, stats) = ruling_set_distributed(g, &w, params, &mut RunHooks::none());
                 assert_eq!(central.members, dist.members, "membership differs on n={n}");
                 assert_eq!(stats.rounds, RulingProtocol::total_rounds(n, params));
                 assert_valid(g, &w, params, &dist);
@@ -323,7 +311,8 @@ mod tests {
     #[test]
     fn empty_w_short_circuits() {
         let g = generators::path(5);
-        let (rs, stats) = ruling_set_distributed(&g, &[], RulingParams::new(2, 2));
+        let (rs, stats) =
+            ruling_set_distributed(&g, &[], RulingParams::new(2, 2), &mut RunHooks::none());
         assert!(rs.is_empty());
         assert_eq!(stats.rounds, 0);
     }
@@ -340,7 +329,7 @@ mod tests {
         let g = b.build();
         let w: Vec<usize> = (0..8).collect();
         let params = RulingParams::new(2, 2);
-        let (rs, _) = ruling_set_distributed(&g, &w, params);
+        let (rs, _) = ruling_set_distributed(&g, &w, params, &mut RunHooks::none());
         // Each path component must contain at least one member.
         assert!(rs.members.iter().any(|&m| m < 4));
         assert!(rs.members.iter().any(|&m| m >= 4));

@@ -3,12 +3,7 @@
 //! and its measured round count respects the schedule bound (Corollary 2.9's
 //! concrete analogue).
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
-use nas_core::{build_centralized, build_distributed, Params};
+use nas_core::{Backend, Params, Session};
 use nas_graph::generators;
 
 fn sorted_edges(s: &nas_graph::EdgeSet) -> Vec<(usize, usize)> {
@@ -32,8 +27,12 @@ fn distributed_equals_centralized_corpus() {
         Params::practical(1.0, 4, 0.49),
     ] {
         for (name, g) in &graphs {
-            let a = build_centralized(g, params).unwrap();
-            let b = build_distributed(g, params).unwrap();
+            let a = Session::on(g).params(params).run().unwrap();
+            let b = Session::on(g)
+                .params(params)
+                .backend(Backend::Congest)
+                .run()
+                .unwrap();
             assert_eq!(
                 sorted_edges(&a.spanner),
                 sorted_edges(&b.spanner),
@@ -68,8 +67,16 @@ fn distributed_equals_centralized_corpus() {
 fn distributed_run_is_reproducible() {
     let g = generators::connected_gnp(30, 0.12, 9);
     let p = Params::practical(0.5, 4, 0.45);
-    let a = build_distributed(&g, p).unwrap();
-    let b = build_distributed(&g, p).unwrap();
+    let a = Session::on(&g)
+        .params(p)
+        .backend(Backend::Congest)
+        .run()
+        .unwrap();
+    let b = Session::on(&g)
+        .params(p)
+        .backend(Backend::Congest)
+        .run()
+        .unwrap();
     assert_eq!(a.stats, b.stats, "transcripts must be identical");
     assert_eq!(sorted_edges(&a.spanner), sorted_edges(&b.spanner));
 }
@@ -85,8 +92,16 @@ fn rounds_grow_sublinearly_in_n() {
     let p = Params::practical(0.5, 4, 0.45);
     let g1 = generators::random_regular(64, 8, 1);
     let g2 = generators::random_regular(256, 8, 1);
-    let r1 = build_distributed(&g1, p).unwrap();
-    let r2 = build_distributed(&g2, p).unwrap();
+    let r1 = Session::on(&g1)
+        .params(p)
+        .backend(Backend::Congest)
+        .run()
+        .unwrap();
+    let r2 = Session::on(&g2)
+        .params(p)
+        .backend(Backend::Congest)
+        .run()
+        .unwrap();
     let ratio = r2.stats.rounds as f64 / r1.stats.rounds as f64;
     assert!(
         ratio < 4.0,

@@ -3,16 +3,12 @@
 //! The values below (spanner edge sets as FNV hashes, exact round and
 //! message totals) were captured from PR 1's engines running on the
 //! pre-arena simulator. The rebuilt message plane must reproduce them
-//! byte-for-byte: the staged `CongestEngine` pipeline and the one-shot
-//! `run_full_protocol` composite both route every protocol message through
-//! the plane, so any drift here means delivery order, scheduling, or
-//! accounting changed observably.
+//! byte-for-byte: the staged `CongestEngine` pipeline (`Backend::Congest`)
+//! and the one-shot composite protocol (`Backend::Full`) both route every
+//! protocol message through the plane, so any drift here means delivery
+//! order, scheduling, or accounting changed observably.
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
+use nas_core::{Backend, Params, Session};
 use nas_graph::generators;
 
 fn edge_hash(mut edges: Vec<(usize, usize)>) -> u64 {
@@ -73,9 +69,13 @@ fn goldens() -> Vec<Golden> {
 
 #[test]
 fn staged_engine_matches_pre_refactor_goldens() {
-    let params = nas_core::Params::practical(0.5, 4, 0.45);
+    let params = Params::practical(0.5, 4, 0.45);
     for g in goldens() {
-        let r = nas_core::build_distributed(&g.graph, params).unwrap();
+        let r = Session::on(&g.graph)
+            .params(params)
+            .backend(Backend::Congest)
+            .run()
+            .unwrap();
         let edges: Vec<(usize, usize)> = r.spanner.iter().collect();
         assert_eq!(edges.len(), g.edges, "{}: edge count drifted", g.name);
         assert_eq!(
@@ -96,9 +96,13 @@ fn staged_engine_matches_pre_refactor_goldens() {
 
 #[test]
 fn full_protocol_matches_pre_refactor_goldens() {
-    let params = nas_core::Params::practical(0.5, 4, 0.45);
+    let params = Params::practical(0.5, 4, 0.45);
     for g in goldens() {
-        let r = nas_core::run_full_protocol(&g.graph, params).unwrap();
+        let r = Session::on(&g.graph)
+            .params(params)
+            .backend(Backend::Full)
+            .run()
+            .unwrap();
         let edges: Vec<(usize, usize)> = r.spanner.iter().collect();
         assert_eq!(edges.len(), g.edges, "{}: edge count drifted", g.name);
         assert_eq!(

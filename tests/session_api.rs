@@ -2,7 +2,7 @@
 //! equivalence through the new surface, the observer event plane's ordering
 //! guarantees, and budget/thread knobs.
 
-use nas_core::{Backend, Event, EventLog, Params, Session, SessionError};
+use nas_core::{Backend, Event, EventLog, ParamError, Params, Session, SessionError};
 use nas_graph::{generators, EdgeSet, Graph};
 
 fn sorted(s: &EdgeSet) -> Vec<(usize, usize)> {
@@ -48,6 +48,24 @@ fn all_backends_agree_through_the_session_surface() {
             "{name}: rounds exceed the Corollary 2.9 schedule bound"
         );
         assert!(full.rounds() >= congest.rounds(), "{name}: full < staged");
+    }
+}
+
+/// Parameter validation errors reach the caller unchanged on every
+/// backend, before any engine runs.
+#[test]
+fn param_errors_propagate_on_every_backend() {
+    let g = generators::path(10);
+    for backend in [
+        Backend::Centralized,
+        Backend::Congest,
+        Backend::Local,
+        Backend::Full,
+    ] {
+        match Session::on(&g).kappa(1).backend(backend).run() {
+            Err(SessionError::Param(ParamError::KappaTooSmall(1))) => {}
+            other => panic!("{backend}: expected KappaTooSmall(1), got {other:?}"),
+        }
     }
 }
 

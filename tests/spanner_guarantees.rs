@@ -1,12 +1,7 @@
 //! Cross-crate integration tests: the paper's end-to-end guarantees
 //! (Corollary 2.18 and the lemmas behind it) hold on a corpus of graphs.
 
-// These integration tests deliberately exercise the deprecated legacy entry
-// points: they are the bit-identical anchors the `Session` redesign is pinned
-// against (see tests/legacy_shims.rs and tests/session_api.rs for the new API).
-#![allow(deprecated)]
-
-use nas_core::{build_centralized, Params};
+use nas_core::{Params, Session};
 use nas_graph::{connectivity, generators, Graph};
 use nas_metrics::stretch_audit;
 
@@ -48,7 +43,10 @@ fn params_grid() -> Vec<Params> {
 fn spanner_is_valid_and_stretch_bounded_across_corpus() {
     for (name, g) in corpus() {
         for params in params_grid() {
-            let r = build_centralized(&g, params).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let r = Session::on(&g)
+                .params(params)
+                .run()
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             // Subgraph property.
             assert!(
                 r.spanner.verify_subgraph_of(&g).is_ok(),
@@ -89,7 +87,10 @@ fn spanner_is_valid_and_stretch_bounded_across_corpus() {
 fn settled_sets_partition_v() {
     // Corollary 2.5 on the corpus.
     for (name, g) in corpus() {
-        let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
+        let r = Session::on(&g)
+            .params(Params::practical(0.5, 4, 0.45))
+            .run()
+            .unwrap();
         nas_core::cluster::verify_settled_partition(g.num_vertices(), &r.settled)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         // Settled phases are within [0, ℓ].
@@ -108,7 +109,10 @@ fn size_bound_holds_with_margin() {
     //   interconnect paths per phase ≤ |U_i|·deg_i, each of length ≤ δ_i;
     //   supercluster paths ≤ n−1 forest edges.
     for (name, g) in corpus() {
-        let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
+        let r = Session::on(&g)
+            .params(Params::practical(0.5, 4, 0.45))
+            .run()
+            .unwrap();
         let n = g.num_vertices() as u64;
         for p in &r.phases {
             assert!(
@@ -138,7 +142,10 @@ fn radius_invariant_holds_on_corpus() {
     // Lemma 2.3 (via settled clusters): every vertex reaches its settled
     // center within R_i in the final spanner.
     for (name, g) in corpus().into_iter().take(6) {
-        let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
+        let r = Session::on(&g)
+            .params(Params::practical(0.5, 4, 0.45))
+            .run()
+            .unwrap();
         let h = r.to_graph();
         for v in 0..g.num_vertices() {
             let (phase, center) = r.settled[v].unwrap();
@@ -158,8 +165,8 @@ fn radius_invariant_holds_on_corpus() {
 fn deterministic_across_runs() {
     let g = generators::connected_gnp(100, 0.08, 42);
     let p = Params::practical(0.5, 4, 0.45);
-    let a = build_centralized(&g, p).unwrap();
-    let b = build_centralized(&g, p).unwrap();
+    let a = Session::on(&g).params(p).run().unwrap();
+    let b = Session::on(&g).params(p).run().unwrap();
     assert_eq!(a.spanner, b.spanner);
     assert_eq!(a.settled, b.settled);
     assert_eq!(a.phases, b.phases);
@@ -177,7 +184,10 @@ fn disconnected_graphs_are_handled() {
         b.add_edge(v - 1, v);
     }
     let g = b.build();
-    let r = build_centralized(&g, Params::practical(0.5, 4, 0.45)).unwrap();
+    let r = Session::on(&g)
+        .params(Params::practical(0.5, 4, 0.45))
+        .run()
+        .unwrap();
     let audit = stretch_audit(&g, &r.to_graph(), 0.5);
     assert_eq!(audit.disconnected_pairs, 0);
     assert_eq!(r.num_edges(), 58); // both paths kept whole
