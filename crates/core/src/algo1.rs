@@ -313,10 +313,10 @@ fn accept_round(
     knowledge: &mut Knowledge,
     cap: usize,
     dist: u32,
-    candidates: &[(u32, u32)],
+    candidates: impl IntoIterator<Item = (u32, u32)>,
 ) -> bool {
     let before = knowledge.len();
-    for &(c, sender) in candidates {
+    for (c, sender) in candidates {
         if c == self_id {
             continue;
         }
@@ -341,68 +341,138 @@ fn accept_round(
 ///
 /// `is_center[v]` marks `S_i`. Returns knowledge identical to the
 /// distributed protocol's (asserted in tests).
+///
+/// # Cost
+///
+/// `O(n + m)` for send phase 0, then `O(messages)` up to sorting — every
+/// later send slot touches only the vertices that send or receive in it,
+/// never all `n`. The senders of send phase `p ≥ 1` are the *frontier*:
+/// exactly the vertices that accepted an entry during phase `p−1`, since
+/// only they hold distance-`p` entries. Each slot counts its arrivals per
+/// receiver, scatters their `(center, sender)` pairs into per-receiver
+/// buckets (a counting sort over the touched receivers), and sorts each
+/// (small) bucket before acceptance. Senders and receivers are visited in
+/// ascending id order, so adjacency and knowledge tables are read in
+/// memory order. Scratch is `O(n)` plus 8 bytes per message of one slot,
+/// and is dropped before returning.
 pub fn algo1_centralized(g: &Graph, is_center: &[bool], deg: usize, delta: u64) -> PopularityInfo {
     let n = g.num_vertices();
     assert_eq!(is_center.len(), n);
     let mut knowledge: Vec<Knowledge> = vec![Knowledge::new(); n];
+    // Receivers that accepted an entry in the current send phase — the
+    // senders of the next one.
+    let mut frontier: Vec<u32> = Vec::new();
 
     // Send phase 0: centers broadcast their own id; arrivals have dist 1.
-    let mut cands: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    for (c, &is_c) in is_center.iter().enumerate() {
-        if is_c {
-            for &u in g.neighbors(c) {
-                cands[u as usize].push((c as u32, c as u32));
-            }
+    // A receiver's candidates are its center neighbors, already ascending.
+    // The count of accepted entries is known up front, so each table is
+    // sized once instead of growing 4 → 8 → 16 → … and shrinking after.
+    for (u, k) in knowledge.iter_mut().enumerate() {
+        let cap = capacity(deg, is_center[u]);
+        let centers = || {
+            g.neighbors(u)
+                .iter()
+                .copied()
+                .filter(|&c| is_center[c as usize])
+        };
+        let accepted = centers().count().min(cap);
+        if accepted == 0 {
+            continue;
         }
-    }
-    for u in 0..n {
-        cands[u].sort_unstable();
-        let list = std::mem::take(&mut cands[u]);
-        accept_round(
-            u as u32,
-            &mut knowledge[u],
-            capacity(deg, is_center[u]),
-            1,
-            &list,
-        );
+        *k = Knowledge::with_capacity(accepted);
+        if accept_round(u as u32, k, cap, 1, centers().map(|c| (c, c))) {
+            frontier.push(u as u32);
+        }
     }
 
     // Send phases 1..δ: forward distance-p knowledge, one center per round.
+    let mut senders: Vec<u32> = Vec::new();
+    // Forward lists of `senders`, flat: sender i's list is
+    // `fwd[fwd_at[i]..fwd_at[i + 1]]`.
+    let mut fwd: Vec<u32> = Vec::new();
+    let mut fwd_at: Vec<usize> = Vec::new();
+    // One slot's `(center, sender)` arrivals, bucketed by receiver.
+    let mut bucketed: Vec<(u32, u32)> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
+    // Per receiver: its arrivals this slot, then the next free position of
+    // its bucket while scattering (the bucket's end once done); zero
+    // between slots.
+    let mut count: Vec<usize> = vec![0; n];
+    // Distance of the last acceptance that put a vertex on the frontier.
+    let mut joined: Vec<u32> = vec![0; n];
     for p in 1..delta {
+        if frontier.is_empty() {
+            break; // nobody holds distance-p entries: every later slot is silent
+        }
+        std::mem::swap(&mut senders, &mut frontier);
+        frontier.clear();
+        // Ascending senders read the adjacency arrays in order.
+        senders.sort_unstable();
         // Forward lists: centers known at distance exactly p, ascending.
-        let forwards: Vec<Vec<u32>> = (0..n)
-            .map(|v| {
-                knowledge[v]
+        fwd.clear();
+        fwd_at.clear();
+        fwd_at.push(0);
+        for &v in &senders {
+            fwd.extend(
+                knowledge[v as usize]
                     .iter()
-                    .filter(|(_, e)| e.dist as u64 == p)
+                    .filter(|(_, e)| u64::from(e.dist) == p)
                     .map(|(&c, _)| c)
-                    .take(deg + 1)
-                    .collect()
-            })
-            .collect();
-        let max_k = forwards.iter().map(|f| f.len()).max().unwrap_or(0);
+                    .take(deg + 1),
+            );
+            fwd_at.push(fwd.len());
+        }
+        let max_k = fwd_at.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let dist = p as u32 + 1;
         for k in 0..max_k {
-            for (v, fwd) in forwards.iter().enumerate() {
-                if let Some(&c) = fwd.get(k) {
-                    for &u in g.neighbors(v) {
-                        cands[u as usize].push((c, v as u32));
+            // The slot's sends: `(sender, center)` for every sender whose
+            // forward list reaches slot k.
+            let sends = || {
+                senders.iter().enumerate().filter_map(|(i, &v)| {
+                    let at = fwd_at[i] + k;
+                    (at < fwd_at[i + 1]).then(|| (v, fwd[at]))
+                })
+            };
+            for (v, _) in sends() {
+                for &u in g.neighbors(v as usize) {
+                    if count[u as usize] == 0 {
+                        touched.push(u);
                     }
+                    count[u as usize] += 1;
                 }
             }
-            for u in 0..n {
-                if cands[u].is_empty() {
-                    continue;
-                }
-                cands[u].sort_unstable();
-                let list = std::mem::take(&mut cands[u]);
-                accept_round(
-                    u as u32,
-                    &mut knowledge[u],
-                    capacity(deg, is_center[u]),
-                    p as u32 + 1,
-                    &list,
-                );
+            // Ascending receivers walk the knowledge tables in memory order.
+            touched.sort_unstable();
+            // Prefix sums: each receiver's bucket start, in `touched` order.
+            let mut end = 0;
+            for &u in &touched {
+                end += count[u as usize];
+                count[u as usize] = end - count[u as usize];
             }
+            bucketed.resize(end, (0, 0));
+            for (v, c) in sends() {
+                for &u in g.neighbors(v as usize) {
+                    bucketed[count[u as usize]] = (c, v);
+                    count[u as usize] += 1;
+                }
+            }
+            let mut start = 0usize;
+            for &u in &touched {
+                let ui = u as usize;
+                let end = count[ui];
+                count[ui] = 0;
+                let bucket = &mut bucketed[start..end];
+                start = end;
+                bucket.sort_unstable();
+                let cap = capacity(deg, is_center[ui]);
+                if accept_round(u, &mut knowledge[ui], cap, dist, bucket.iter().copied())
+                    && joined[ui] != dist
+                {
+                    joined[ui] = dist;
+                    frontier.push(u);
+                }
+            }
+            touched.clear();
         }
     }
 
@@ -581,7 +651,7 @@ impl NodeProgram for Algo1Protocol {
                 &mut self.knowledge,
                 capacity(self.deg, self.is_center),
                 dist,
-                &self.cands,
+                self.cands.iter().copied(),
             ) {
                 self.dist_mask |= 1u64 << dist.min(63);
             }

@@ -17,7 +17,8 @@
 //!   charging `δ_i` rounds;
 //! * the ruling set, superclustering and interconnection run the
 //!   centralized references, charged at their LOCAL costs
-//!   (`c·m·(q+1)` with `m = ⌈n^{1/c}⌉`, `2·depth + 2`, and `δ_i`
+//!   (`c·m·(q+1)` with the digit base `m = max(2, ⌈n^{1/c}⌉)` of
+//!   [`RulingProtocol::total_rounds`], `2·depth + 2`, and `δ_i`
 //!   respectively — the ruling set is free when `W_i` is empty, matching
 //!   the distributed implementation's early exit).
 //!
@@ -34,7 +35,7 @@ use crate::interconnect::{interconnect_centralized, Interconnection};
 use crate::supercluster::{supercluster_centralized, Superclustering};
 use nas_congest::{RunHooks, RunStats};
 use nas_graph::Graph;
-use nas_ruling::{ruling_set_centralized, RulingParams, RulingSet};
+use nas_ruling::{ruling_set_centralized, RulingParams, RulingProtocol, RulingSet};
 
 /// LOCAL-model backend: centralized execution of every primitive, with
 /// exact LOCAL round accounting and the unbounded-bandwidth popularity rule
@@ -94,9 +95,7 @@ impl PhaseEngine for LocalEngine {
         // implementation's early exit, so LOCAL and CONGEST accounting stay
         // comparable.
         if !w.is_empty() {
-            let n = g.num_vertices();
-            let m = (n as f64).powf(1.0 / params.c as f64).ceil() as u64;
-            self.charge(params.c as u64 * m * (params.q as u64 + 1));
+            self.charge(RulingProtocol::total_rounds(g.num_vertices(), params));
         }
         ruling_set_centralized(g, w, params)
     }
@@ -226,6 +225,21 @@ mod tests {
         // slightly (parent tie-breaks), sizes must be in the same ballpark.
         let (a, b) = (local.num_edges() as f64, congest.num_edges() as f64);
         assert!(a <= 1.5 * b + 10.0 && b <= 1.5 * a + 10.0, "{a} vs {b}");
+    }
+
+    #[test]
+    fn ruling_rounds_match_congest_at_perfect_powers() {
+        // 3125 = 5^5: the digit base is exactly 5, where a float c-th root
+        // can round up to 6.
+        let g = generators::path(3125);
+        let params = RulingParams::new(2, 5);
+        let mut engine = LocalEngine::new();
+        engine.ruling_set(&g, &[0, 7, 3124], params, &mut RunHooks::none());
+        assert_eq!(
+            engine.take_phase_rounds(),
+            RulingProtocol::total_rounds(3125, params)
+        );
+        assert_eq!(RulingProtocol::total_rounds(3125, params), 5 * 5 * 3);
     }
 
     #[test]

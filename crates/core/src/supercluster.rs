@@ -39,6 +39,14 @@ pub struct Superclustering {
 ///
 /// `roots` are the ruling-set members; `centers` the phase's cluster centers
 /// `S_i`; `depth` the exploration depth `2·c·δ_i`.
+///
+/// # Cost
+///
+/// `O(n)` plus the depth-limited BFS. Each claimed center's parent chain is
+/// walked only until it meets a vertex already on an inserted path (whose
+/// own chain to the root is therefore in `path_edges`), so every tree edge
+/// is inserted once. The edges are inserted in the order the full
+/// root→center paths would first insert them.
 pub fn supercluster_centralized(
     g: &Graph,
     roots: &[usize],
@@ -49,13 +57,19 @@ pub fn supercluster_centralized(
     let forest = bfs::bfs_forest(g, roots.iter().copied(), Some(depth as u32));
     let mut assignment = Vec::new();
     let mut path_edges = EdgeSet::new(n);
+    let mut on_path = vec![false; n];
     for &c in centers {
         if let Some(root) = forest.root[c] {
             assignment.push((c, root as usize));
-            let path = forest
-                .path_to_root(c)
-                .expect("claimed center has a path to its root");
-            path_edges.insert_path(&path);
+            let mut cur = c;
+            while !on_path[cur] {
+                on_path[cur] = true;
+                let Some(p) = forest.parent[cur] else {
+                    break; // reached the root
+                };
+                path_edges.insert(cur, p as usize);
+                cur = p as usize;
+            }
         }
     }
     Superclustering {

@@ -84,17 +84,25 @@ proptest! {
         }
     }
 
-    /// The distributed protocol computes identical knowledge.
+    /// The distributed protocol computes identical knowledge — on sparse
+    /// random graphs, hub-heavy preferential attachment and stars, with
+    /// anything from every vertex to every fifth one a center.
     #[test]
     fn distributed_equivalence(
+        family in 0u8..3,
         n in 4usize..36,
         p in 0.08f64..0.35,
         seed in 0u64..5000,
         deg in 1usize..6,
         delta in 1u64..4,
+        center_mod in 1usize..6,
     ) {
-        let g = generators::gnp(n, p, seed);
-        let is_center: Vec<bool> = (0..n).map(|v| v % 2 == 0).collect();
+        let g = match family {
+            0 => generators::gnp(n, p, seed),
+            1 => generators::preferential_attachment(n, 1 + seed as usize % 3, seed),
+            _ => generators::star(n),
+        };
+        let is_center: Vec<bool> = (0..n).map(|v| v % center_mod == 0).collect();
         let a = algo1_centralized(&g, &is_center, deg, delta);
         let (b, _) = algo1_distributed(&g, &is_center, deg, delta, &mut RunHooks::none());
         prop_assert_eq!(a, b);
@@ -124,5 +132,38 @@ proptest! {
                 "vertex {} popularity mismatch (|ball| = {}, deg = {})", u, within, deg
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Long-range equivalence at δ ≥ 64, where the distributed protocol's
+    /// distance bitmask saturates and `min_future_dist` falls back to a
+    /// table scan: paths and grids long enough for knowledge to travel
+    /// past 64 hops. Besides dense center sets, `ends_only` keeps just the
+    /// two corner vertices, whose ids then travel the whole graph.
+    #[test]
+    fn distributed_equivalence_long_delta(
+        grid in 0u8..2,
+        len in 60usize..130,
+        rows in 2usize..5,
+        deg in 1usize..5,
+        delta in 64u64..91,
+        center_mod in 1usize..6,
+        ends_only in 0u8..2,
+    ) {
+        let g = if grid == 1 {
+            generators::grid2d(rows, len / 2)
+        } else {
+            generators::path(len)
+        };
+        let n = g.num_vertices();
+        let is_center: Vec<bool> = (0..n)
+            .map(|v| if ends_only == 1 { v == 0 || v == n - 1 } else { v % center_mod == 0 })
+            .collect();
+        let a = algo1_centralized(&g, &is_center, deg, delta);
+        let (b, _) = algo1_distributed(&g, &is_center, deg, delta, &mut RunHooks::none());
+        prop_assert_eq!(a, b);
     }
 }

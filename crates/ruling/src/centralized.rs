@@ -13,6 +13,15 @@ use nas_graph::{EpochMarks, Graph};
 ///
 /// `w` may list vertices in any order; duplicates are ignored.
 ///
+/// # Cost
+///
+/// `O(c·n)` plus the kill waves' BFS work. Per digit position the active
+/// set is counting-sorted by digit value once; the sources of the value-`b`
+/// wave are that bucket minus the vertices earlier waves killed. A wave
+/// only kills vertices of a *larger* digit value, so a bucket is final by
+/// the time its wave runs, and its ascending-id order is the order a full
+/// scan of `0..n` would produce.
+///
 /// # Panics
 ///
 /// Panics if a vertex of `w` is out of range.
@@ -31,12 +40,21 @@ pub fn ruling_set_centralized(g: &Graph, w: &[usize], params: RulingParams) -> R
     }
 
     let plan = DigitPlan::new(n, params.c);
+    let base = plan.base() as usize;
     let q = params.q;
 
     // active[v]: v ∈ W and not yet killed.
     let mut active = in_w.clone();
     // killer[v]: the wave origin that deactivated v.
     let mut killer: Vec<Option<u32>> = vec![None; n];
+    // Digit `i` of every active vertex (stale entries are never read: the
+    // wave tests `active` first).
+    let mut digit: Vec<u32> = vec![0; n];
+    // The active set counting-sorted by digit value: bucket `b` is
+    // `by_digit[bucket_at[b]..bucket_at[b + 1]]`, ascending ids.
+    let mut by_digit: Vec<u32> = Vec::new();
+    let mut bucket_at: Vec<usize> = vec![0; base + 1];
+    let mut fill: Vec<usize> = Vec::with_capacity(base + 1);
 
     // Scratch for the per-sub-phase kill wave, on the flat distance plane:
     // an epoch-marked visited set (O(1) logical clear between waves — no
@@ -47,15 +65,36 @@ pub fn ruling_set_centralized(g: &Graph, w: &[usize], params: RulingParams) -> R
     let mut visited = EpochMarks::new();
     let mut frontier: Vec<(u32, u32)> = Vec::new();
     let mut next: Vec<(u32, u32)> = Vec::new();
-    let mut sources: Vec<usize> = Vec::new();
 
     for i in 0..params.c {
-        for b in 0..plan.base() {
+        bucket_at.fill(0);
+        for v in (0..n).filter(|&v| active[v]) {
+            let d = plan.digit(v as u64, i) as u32;
+            digit[v] = d;
+            bucket_at[d as usize + 1] += 1;
+        }
+        for b in 0..base {
+            bucket_at[b + 1] += bucket_at[b];
+        }
+        by_digit.resize(bucket_at[base], 0);
+        fill.clear();
+        fill.extend_from_slice(&bucket_at);
+        for v in (0..n).filter(|&v| active[v]) {
+            let d = digit[v] as usize;
+            by_digit[fill[d]] = v as u32;
+            fill[d] += 1;
+        }
+        for b in 0..base {
             // Sources: active vertices whose i-th digit is b.
             // (Ascending id order ⇒ min-id origin wins ties, deterministic.)
-            sources.clear();
-            sources.extend((0..n).filter(|&v| active[v] && plan.digit(v as u64, i) == b));
-            if sources.is_empty() {
+            frontier.clear();
+            frontier.extend(
+                by_digit[bucket_at[b]..bucket_at[b + 1]]
+                    .iter()
+                    .filter(|&&v| active[v as usize])
+                    .map(|&v| (v, v)),
+            );
+            if frontier.is_empty() {
                 continue; // schedule-equivalent: an empty wave kills nobody
             }
             // Depth-q multi-source wave. Level-by-level expansion visits
@@ -64,11 +103,10 @@ pub fn ruling_set_centralized(g: &Graph, w: &[usize], params: RulingParams) -> R
             // applied at visit time (wave propagation never reads
             // `active`, so inline kills match the old post-wave sweep).
             visited.begin(n);
-            frontier.clear();
-            for &s in &sources {
-                visited.mark(s);
-                frontier.push((s as u32, s as u32));
+            for &(s, _) in &frontier {
+                visited.mark(s as usize);
             }
+            let b = b as u32;
             for _depth in 0..q {
                 if frontier.is_empty() {
                     break;
@@ -78,7 +116,7 @@ pub fn ruling_set_centralized(g: &Graph, w: &[usize], params: RulingParams) -> R
                     for &u in g.neighbors(v as usize) {
                         let u = u as usize;
                         if visited.mark(u) {
-                            if active[u] && plan.digit(u as u64, i) > b {
+                            if active[u] && digit[u] > b {
                                 active[u] = false;
                                 killer[u] = Some(origin);
                             }

@@ -57,20 +57,29 @@ proptest! {
         check_guarantees(&g, &w, RulingParams::new(q, c));
     }
 
+    /// The whole ruling set agrees — members *and* every vertex's ruler —
+    /// on sparse random graphs, hub-heavy preferential attachment and
+    /// stars.
     #[test]
     fn distributed_matches_centralized(
+        family in 0u8..3,
         n in 2usize..40,
         p in 0.05f64..0.3,
         seed in 0u64..500,
         q in 1u32..4,
         c in 1u32..4,
+        w_mod in 1usize..4,
     ) {
-        let g = generators::gnp(n, p, seed);
-        let w: Vec<usize> = (0..n).filter(|v| v % 2 == 0).collect();
+        let g = match family {
+            0 => generators::gnp(n, p, seed),
+            1 => generators::preferential_attachment(n, (1 + seed as usize % 3).min(n - 1), seed),
+            _ => generators::star(n),
+        };
+        let w: Vec<usize> = (0..n).filter(|v| v % w_mod == 0).collect();
         let params = RulingParams::new(q, c);
         let a = ruling_set_centralized(&g, &w, params);
         let (b, _) = ruling_set_distributed(&g, &w, params, &mut RunHooks::none());
-        prop_assert_eq!(a.members, b.members);
+        prop_assert_eq!(a, b);
     }
 
     #[test]
