@@ -44,7 +44,7 @@
 //! compact store.
 //!
 //! `--threads` sets the worker-pool lane count (default: `NAS_THREADS` env,
-//! else available parallelism); `--threads 1` runs the pure sequential path
+//! else available parallelism); `--threads 1` runs every round on one lane
 //! with no pool attached. `--compare-threads 1,4` runs the flood suite once
 //! per listed lane count — transcripts are bit-identical across counts, so
 //! the runs differ only in wall clock. `--workloads pref_attach,gnp`
@@ -60,6 +60,12 @@
 //! record samples its own end-of-leg RSS (`leg_rss_mib`, VmRSS) next to
 //! the process-lifetime high-water mark (`peak_rss_process_mib`, VmHWM) —
 //! only the former is a per-leg footprint.
+//!
+//! Every leg checks the paper's guarantees and panics (exit code 101) on a
+//! violation: each spanner leg's rounds stay within the schedule's round
+//! bound (`Schedule::total_round_bound`), and each hop-distance audit
+//! finds every sampled pair connected and within `d_H ≤ (1+ε)·d_G + β`
+//! for the schedule's provable β envelope.
 //!
 //! `--smoke` is the CI configuration: `n = 10^5`, spanner + audit at
 //! `10^4`, asserting the same invariants at a size that finishes in
@@ -365,6 +371,13 @@ fn run_spanner(name: &str, g: &Graph, threads: usize, store: Store) -> (Record, 
         r.stats.messages as f64 / wall.as_secs_f64() / 1e6,
         peak_rss_mib().unwrap_or(f64::NAN),
     );
+    // The paper's round guarantee (Corollary 2.9 at the schedule level).
+    let bound = r.schedule.total_round_bound();
+    assert!(
+        r.stats.rounds <= bound,
+        "{name}: {} rounds exceed the schedule's round bound {bound}",
+        r.stats.rounds
+    );
     // Per-phase breakdown: Report.phases and Report.phase_wall are parallel
     // (one entry per protocol phase, in execution order).
     let phases: Vec<(String, u64, f64)> = r
@@ -425,6 +438,15 @@ fn run_audit(name: &str, g: &Graph, report: &Report, threads: usize, samples: us
         audit.effective_beta,
         wall,
         peak_rss_mib().unwrap_or(f64::NAN),
+    );
+    // The paper's stretch guarantee, against the schedule's provable
+    // additive envelope.
+    let (eps, beta) = (report.params.eps, report.stretch.beta_envelope);
+    assert!(
+        audit.satisfies(eps, beta),
+        "{name}: spanner violates d_H <= (1+{eps})·d_G + {beta:.1}: max stretch {:.2}, effective beta {:.1}",
+        audit.max_stretch,
+        audit.effective_beta
     );
     Record {
         protocol: "audit",

@@ -68,8 +68,8 @@
 //!   ([`Simulator::set_bcast_threshold`], default
 //!   [`DEFAULT_BCAST_THRESHOLD`]) stages one broadcast record instead of
 //!   `deg` copies; the counting and scatter passes expand it against the
-//!   sender's sorted adjacency slice — per receiver-range on the
-//!   parallel path, forming a degree-bucketed broadcast tree. Expansion
+//!   sender's sorted adjacency slice — per receiver range, forming a
+//!   degree-bucketed broadcast tree across lanes. Expansion
 //!   happens at the record's staged position, so delivery order, stats,
 //!   digests, and transcripts are bit-identical to the per-port loop.
 //!
@@ -123,9 +123,10 @@
 //!
 //! # Determinism under parallelism
 //!
-//! Attaching a worker pool ([`Simulator::set_pool`], built on `nas-par`)
-//! shards each round across threads while keeping transcripts **bit-
-//! identical** to the sequential path at every thread count. The argument
+//! Every round runs one sharded body over `t` lanes: `t = 1` without a
+//! pool, and one lane per pool lane once a worker pool is attached
+//! ([`Simulator::set_pool`], built on `nas-par`). Transcripts, stats and
+//! program states are **bit-identical** at every lane count. The argument
 //! rests entirely on *contiguity*:
 //!
 //! * **Sender side.** The sorted visit list is split into contiguous
@@ -133,33 +134,38 @@
 //!   order against the (read-only) previous-round inbox plane and stages
 //!   sends into its own arenas. Because the shards partition an ascending
 //!   id list, "lane order, then within-lane order" *is* the global
-//!   sender-ascending order — concatenating the lanes' staged streams
-//!   reproduces the sequential staging stream exactly, no sorting needed.
+//!   sender-ascending order, whatever the cuts — no sorting needed.
 //! * **Receiver side.** Staged sends are bucketed by contiguous
-//!   *receiver ranges* (range `j` owns node ids `[j·c, (j+1)·c)`). The
-//!   counting pass runs one lane per range (each lane walks every sender
-//!   lane's bucket for its range, in lane order), and the per-range sorted
-//!   `touched` lists concatenate — again by contiguity — into the globally
-//!   sorted receiver list, so the CSR layout (`inbox_start`) matches the
-//!   sequential counting pass value-for-value. The scatter then runs one
-//!   lane per range into *disjoint* spans of the delivery buffer, walking
-//!   sender lanes in lane order, which fills every inbox sender-ascending:
-//!   the exact delivery order the determinism contract promises.
+//!   *receiver ranges* (range `j` owns node ids `[j·c, (j+1)·c)`, with the
+//!   width `c` a power of two). The counting pass runs one lane per range
+//!   (each lane walks every sender lane's bucket for its range, in lane
+//!   order), and the per-range sorted `touched` lists concatenate — again
+//!   by contiguity — into the globally sorted receiver list, so every
+//!   receiver's inbox offset is the same at every lane count. The scatter
+//!   then runs one lane per range into *disjoint* spans of the delivery
+//!   buffer, walking sender lanes in lane order, which fills every inbox
+//!   sender-ascending: the exact delivery order the determinism contract
+//!   promises.
 //! * **Digest.** The per-round delivery digest folds
 //!   `(receiver, port, words)` receiver-ascending; it is a pure function of
-//!   the *previous* round's scatter, so the parallel path computes it from
-//!   the inbox plane before sharding — byte-identical by construction.
+//!   the *previous* round's scatter, so the round computes it from the
+//!   inbox plane before sharding — byte-identical by construction.
 //!
 //! Program execution itself is unordered across lanes, which is sound for
 //! the same reason the active-set scheduler is: a [`NodeProgram`] can only
 //! read its own state and its inbox, never a neighbor's state, so rounds
-//! have no intra-round data flow. The per-lane arenas are allocated at
-//! [`Simulator::set_pool`] and reused, keeping the steady-state round
-//! zero-allocation with the pool active (also pinned by `zero_alloc`).
-//! `tests/par_differential.rs` checks all of this message-for-message
-//! against both the sequential path and the reference simulator at thread
-//! counts 1/2/3/8, and the golden transcripts are asserted verbatim at
-//! every thread count.
+//! have no intra-round data flow. Nor does it matter *which thread* runs a
+//! lane: a round that visits fewer than about a thousand nodes runs its
+//! lanes, cut exactly as on the pool, one after another on the calling
+//! thread, because dispatching it would cost more than it saves. The same
+//! cuts give the same output whether the lanes run inline or dispatched.
+//! The per-lane arenas are allocated with the plane and reused, keeping
+//! the steady-state round zero-allocation with or without a pool (pinned
+//! by `zero_alloc`). `tests/par_differential.rs` checks all of this
+//! message-for-message against one lane and the reference simulator at
+//! lane counts 1/2/3/8, including a run whose rounds straddle the dispatch
+//! threshold, and the golden transcripts are asserted verbatim at every
+//! lane count.
 //!
 //! # Example: distributed BFS flood
 //!
@@ -206,8 +212,6 @@ pub mod trace;
 pub use msg::{Incoming, Merge, Msg, MAX_WORDS};
 pub use observe::{NoopRoundObserver, RoundInfo, RoundObserver, RunHooks};
 pub use reference::ReferenceSimulator;
-pub use sim::{
-    NodeProgram, QuietOutcome, RoundCtx, Simulator, DEFAULT_BCAST_THRESHOLD, DEFAULT_PAR_THRESHOLD,
-};
+pub use sim::{NodeProgram, QuietOutcome, RoundCtx, Simulator, DEFAULT_BCAST_THRESHOLD};
 pub use stats::RunStats;
 pub use trace::{RoundRecord, Transcript};

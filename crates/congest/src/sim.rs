@@ -3,11 +3,12 @@
 //! # Message plane
 //!
 //! Messages are routed through a flat, double-buffered **arena** instead of
-//! per-node `Vec`s. During a round every send is appended to one staging
-//! buffer; at the end of the round a counting pass over the staged sends
-//! lays out a CSR-style index (`inbox_start[v] .. inbox_start[v] +
-//! inbox_len[v]` into one flat `Vec<Incoming>`) and a stable scatter pass
-//! places each message into its receiver's range. The two flat buffers swap
+//! per-node `Vec`s. During a round every send is appended to its lane's
+//! staging bucket for the receiver's id range; at the end of the round a
+//! counting pass over the staged sends lays out a CSR-style index (one
+//! `start .. start + len` span per receiver into one flat
+//! `Vec<Incoming>`) and a stable scatter pass places each message into its
+//! receiver's range. The two flat buffers swap
 //! roles every round, so after warm-up [`Simulator::step`] performs **zero
 //! heap allocation** (pinned by `tests/zero_alloc.rs`).
 //!
@@ -48,8 +49,8 @@ const BCAST_RECV: u32 = u32::MAX;
 /// Default [`Simulator::set_bcast_threshold`] value: a `send_all` from a
 /// node of at least this degree stages **one** broadcast record instead of
 /// `deg` per-port tuples; the counting/scatter passes expand it against the
-/// sender's CSR neighbor slice (per receiver range on the parallel path — a
-/// degree-bucketed broadcast tree). Delivery order, transcripts, and stats
+/// sender's CSR neighbor slice (per receiver range — a degree-bucketed
+/// broadcast tree). Delivery order, transcripts, and stats
 /// are identical either way; only the staging cost changes. Records win
 /// from very low degrees already (one staged entry and no per-port outbox
 /// walk), so the default covers everything past degree 2.
@@ -417,9 +418,9 @@ impl Topology<'_> {
     }
 }
 
-/// Monomorphized adjacency access for the round paths. The paths are generic
+/// Monomorphized adjacency access for the round body. The body is generic
 /// over this trait, so each store gets its own specialized copy of
-/// `step_seq`/`step_par` — **no virtual call per neighbor** on the hot path.
+/// `step_impl` — **no virtual call per neighbor** on the hot path.
 ///
 /// The flat impl borrows neighbor slices straight from the CSR and resolves
 /// reverse ports from the graph's cached table. The compact impl decodes
@@ -507,6 +508,21 @@ impl AdjAccess for CompactAdj {
     }
 }
 
+/// The index range of the sorted neighbor list `nb` whose ids fall in
+/// `lo..hi`. Skips the searches when `nb` lies inside the range, as it
+/// always does at one lane.
+fn span_in(nb: &[u32], lo: u32, hi: u32) -> std::ops::Range<usize> {
+    let a = match nb.first() {
+        Some(&x) if x < lo => nb.partition_point(|&x| x < lo),
+        _ => 0,
+    };
+    let b = match nb.last() {
+        Some(&x) if x >= hi => nb.partition_point(|&x| x < hi),
+        _ => nb.len(),
+    };
+    a..b
+}
+
 /// Converts one freshly scattered inbox range from deferred sender ids to
 /// receiver-side ports: each entry's `from_port` currently holds the sender
 /// id; its port is the sender's position in the receiver's sorted neighbor
@@ -524,9 +540,9 @@ fn convert_deferred_ports(range: &mut [Incoming], neighbors: &[u32]) {
     }
 }
 
-/// Per-lane staging arena for the parallel visit phase. Allocated once when
-/// a pool is attached ([`Simulator::set_pool`]); reused every round, so the
-/// steady state stays allocation-free.
+/// Per-lane staging arena for the visit phase. Allocated with the plane
+/// (at construction, and again by [`Simulator::set_pool`]); reused every
+/// round, so the steady state stays allocation-free.
 struct WorkerArena {
     /// One staging bucket per receiver range: `(receiver, incoming)` in send
     /// order. `buckets[j]` holds this lane's sends whose receiver falls in
@@ -540,8 +556,8 @@ struct WorkerArena {
     nonidle: Vec<u32>,
     /// Timed wake-ups requested by this lane's idle nodes, in visit order:
     /// `(node, wake round)`. Registered into the shared timer wheel by the
-    /// sequential merge phase (lane order = id order, so registration order
-    /// matches the sequential path exactly).
+    /// merge phase on the calling thread (lane order = id order, so the
+    /// registration order does not depend on the lane count).
     wakes: Vec<(u32, u64)>,
     /// Words sent by this lane this round.
     words: u64,
@@ -551,8 +567,7 @@ struct WorkerArena {
     adj: Vec<u32>,
 }
 
-/// Per-receiver-range merge scratch for the parallel counting/scatter
-/// phases.
+/// Per-receiver-range merge scratch for the counting/scatter phases.
 struct RangeArena {
     /// Receivers in this range staged this round, sorted ascending after the
     /// counting phase.
@@ -561,14 +576,29 @@ struct RangeArena {
     adj: Vec<u32>,
 }
 
-/// State for the sharded parallel round path (see the crate-level
-/// "Determinism under parallelism" notes).
-struct ParPlane {
-    pool: Arc<WorkerPool>,
+/// Rounds visiting at least this many nodes are dispatched to the attached
+/// pool's threads; smaller rounds run the same lanes inline, because the
+/// cross-thread dispatch latency (a few microseconds per round) dwarfs the
+/// work in a near-empty round — e.g. a flood on a path graph has an O(1)
+/// frontier for ~n rounds. Either way the lanes and their cuts are the
+/// same, so the output is too.
+const PAR_THRESHOLD: usize = 1024;
+
+/// The sharded round plane every round runs through (see the crate-level
+/// "Determinism under parallelism" notes): one lane without a pool, one
+/// lane per pool lane with one ([`Simulator::set_pool`]).
+struct RoundPlane {
+    /// The attached pool, whose threads run rounds of at least
+    /// [`PAR_THRESHOLD`] visits.
+    pool: Option<Arc<WorkerPool>>,
+    /// A spawn-free pool with the same lane count, which runs every other
+    /// round's lanes in lane order on the calling thread.
+    inline: WorkerPool,
     workers: Vec<WorkerArena>,
     ranges: Vec<RangeArena>,
-    /// Receiver-range width: receiver `u` belongs to range `u / chunk`.
-    chunk: usize,
+    /// Receiver-range width as a power of two: receiver `u` belongs to
+    /// range `u >> shift`.
+    shift: u32,
     /// Static node-id boundaries of the receiver ranges (`threads + 1`).
     ncuts: Vec<usize>,
     /// Unit cuts `[0, 1, .., threads]` for one-slot-per-lane splits.
@@ -579,6 +609,46 @@ struct ParPlane {
     pcuts: Vec<usize>,
     /// Per-round scatter-buffer boundaries aligned to the receiver ranges.
     dcuts: Vec<usize>,
+}
+
+impl RoundPlane {
+    /// A plane for `n` nodes of degree at most `max_deg`, with one lane per
+    /// lane of `pool` (one lane without a pool).
+    fn new(n: usize, max_deg: usize, pool: Option<Arc<WorkerPool>>) -> Self {
+        let t = pool.as_ref().map_or(1, |p| p.threads());
+        let shift = n.div_ceil(t).max(1).next_power_of_two().trailing_zeros();
+        let ncuts: Vec<usize> = (0..=t).map(|j| (j << shift).min(n)).collect();
+        let workers = (0..t)
+            .map(|_| WorkerArena {
+                buckets: (0..t).map(|_| Vec::new()).collect(),
+                outbox: Vec::new(),
+                sent: vec![false; max_deg],
+                nonidle: Vec::new(),
+                wakes: Vec::new(),
+                words: 0,
+                staged: 0,
+                adj: Vec::new(),
+            })
+            .collect();
+        let ranges = (0..t)
+            .map(|_| RangeArena {
+                touched: Vec::new(),
+                adj: Vec::new(),
+            })
+            .collect();
+        RoundPlane {
+            pool,
+            inline: WorkerPool::inline(t),
+            workers,
+            ranges,
+            shift,
+            ncuts,
+            ucuts: (0..=t).collect(),
+            vcuts: Vec::with_capacity(t + 1),
+            pcuts: Vec::with_capacity(t + 1),
+            dcuts: Vec::with_capacity(t + 1),
+        }
+    }
 }
 
 /// The result of [`Simulator::run_until_quiet`].
@@ -613,13 +683,15 @@ struct InboxRange {
 /// Programs must be `Send`: any round may be executed on a worker-pool lane
 /// ([`Simulator::set_pool`]), so program state moves between threads. Every
 /// protocol in this workspace is plain data and satisfies this
-/// automatically; a non-`Send` program (e.g. one holding an `Rc`) would
-/// also be unusable on the parallel path by construction.
+/// automatically.
 pub struct Simulator<'g, P> {
     /// The adjacency plane: borrowed flat CSR or shared compact store.
     topo: Topology<'g>,
     /// Vertex count, cached off the topology.
     n: usize,
+    /// Maximum degree, cached off the topology (sizes the per-lane
+    /// "sent" flags).
+    max_deg: usize,
     programs: Vec<P>,
     /// Flat arena of messages to deliver in the *upcoming* round, grouped by
     /// receiver via `inbox_ranges`.
@@ -637,12 +709,9 @@ pub struct Simulator<'g, P> {
     nonidle: Vec<u32>,
     /// Scratch: per-receiver staged-message counts; all-zero between steps.
     count: Vec<u32>,
-    /// Scratch: receivers staged this round (unsorted until the end of the
-    /// round, then swapped into `msg_active`).
+    /// Scratch: receivers staged this round, ascending (the per-range
+    /// sorted lists concatenated, then swapped into `msg_active`).
     touched: Vec<u32>,
-    /// Scratch: this round's sends in send order (sender ascending, port
-    /// order within a sender).
-    staged: Vec<(u32, Incoming)>,
     /// Scratch: next round's non-idle set, collected in visit order.
     nonidle_next: Vec<u32>,
     /// Scratch: this round's visit list.
@@ -668,21 +737,12 @@ pub struct Simulator<'g, P> {
     /// Scratch: msg_active ∪ nonidle when `due` is non-empty (the 3-way
     /// union is built as two 2-way merges).
     visit_pre: Vec<u32>,
-    /// Scratch: pooled adjacency decode buffer for the sequential path
-    /// (compact store only; stays empty on flat).
-    adj_scratch: Vec<u32>,
     round: u64,
     stats: RunStats,
-    /// Scratch: per-port "sent" flags, reused across nodes and rounds.
-    sent_scratch: Vec<bool>,
-    outbox_scratch: Vec<(u32, Msg)>,
     /// Optional round-by-round transcript (see [`crate::trace`]).
     transcript: Option<Transcript>,
-    /// Optional sharded parallel round path (see [`Simulator::set_pool`]).
-    par: Option<ParPlane>,
-    /// Minimum visit-list length for a round to take the parallel path (see
-    /// [`Simulator::set_par_threshold`]).
-    par_threshold: usize,
+    /// The sharded round plane (see [`Simulator::set_pool`]).
+    plane: RoundPlane,
     /// Minimum degree for `send_all` to stage a broadcast record (see
     /// [`Simulator::set_bcast_threshold`]).
     bcast_threshold: usize,
@@ -690,13 +750,6 @@ pub struct Simulator<'g, P> {
     /// eventless rounds (see [`Simulator::set_fast_forward`]).
     fast_forward: bool,
 }
-
-/// Default [`Simulator::set_par_threshold`] value: rounds visiting fewer
-/// nodes than this run sequentially even with a pool attached, because the
-/// cross-thread dispatch latency (a few microseconds per round) dwarfs the
-/// work in a near-empty round — e.g. a flood on a path graph has an O(1)
-/// frontier for ~n rounds. Output is bit-identical either way.
-pub const DEFAULT_PAR_THRESHOLD: usize = 1024;
 
 impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// Creates a simulator for `graph` with one program per vertex.
@@ -728,6 +781,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         Simulator {
             topo,
             n,
+            max_deg,
             programs,
             inbox_data: Vec::new(),
             next_data: Vec::new(),
@@ -736,7 +790,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             nonidle: Vec::new(),
             count: vec![0; n],
             touched: Vec::new(),
-            staged: Vec::new(),
             nonidle_next: Vec::new(),
             visit: Vec::new(),
             wake_all: true,
@@ -744,78 +797,35 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             timer_armed: vec![u64::MAX; n],
             due: Vec::new(),
             visit_pre: Vec::new(),
-            adj_scratch: Vec::new(),
             round: 0,
             stats: RunStats::new(),
-            sent_scratch: vec![false; max_deg],
-            outbox_scratch: Vec::new(),
             transcript: None,
-            par: None,
-            par_threshold: DEFAULT_PAR_THRESHOLD,
+            plane: RoundPlane::new(n, max_deg, None),
             bcast_threshold: DEFAULT_BCAST_THRESHOLD,
             fast_forward: true,
         }
     }
 
     /// Attaches a worker pool: from now on every [`step`](Simulator::step)
-    /// runs the sharded parallel round path on `pool`'s lanes. Transcripts,
-    /// stats, and program states are **bit-identical** to the sequential
-    /// path at every thread count — see the crate-level "Determinism under
+    /// shards the round into one lane per pool lane. Rounds that visit at
+    /// least a thousand-odd nodes run their lanes on the pool's threads;
+    /// smaller ones run the same lanes, cut the same way, in lane order on
+    /// the calling thread, where the dispatch latency would dwarf the work.
+    /// Transcripts, stats, and program states are **bit-identical** at
+    /// every lane count — see the crate-level "Determinism under
     /// parallelism" notes for the argument.
     ///
     /// All per-lane arenas are allocated here (and grown during warm-up
     /// rounds); the steady-state round stays zero-allocation, pool or not
     /// (pinned by `tests/zero_alloc.rs`).
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        let n = self.n;
-        let t = pool.threads();
-        let max_deg = self.sent_scratch.len();
-        let chunk = n.div_ceil(t).max(1);
-        let ncuts: Vec<usize> = (0..=t).map(|j| (j * chunk).min(n)).collect();
-        let workers = (0..t)
-            .map(|_| WorkerArena {
-                buckets: (0..t).map(|_| Vec::new()).collect(),
-                outbox: Vec::new(),
-                sent: vec![false; max_deg],
-                nonidle: Vec::new(),
-                wakes: Vec::new(),
-                words: 0,
-                staged: 0,
-                adj: Vec::new(),
-            })
-            .collect();
-        let ranges = (0..t)
-            .map(|_| RangeArena {
-                touched: Vec::new(),
-                adj: Vec::new(),
-            })
-            .collect();
-        self.par = Some(ParPlane {
-            pool,
-            workers,
-            ranges,
-            chunk,
-            ncuts,
-            ucuts: (0..=t).collect(),
-            vcuts: Vec::with_capacity(t + 1),
-            pcuts: Vec::with_capacity(t + 1),
-            dcuts: Vec::with_capacity(t + 1),
-        });
+        self.plane = RoundPlane::new(self.n, self.max_deg, Some(pool));
     }
 
-    /// Detaches the worker pool; subsequent steps run sequentially.
+    /// Detaches the worker pool; subsequent steps run one lane on the
+    /// calling thread.
     pub fn clear_pool(&mut self) {
-        self.par = None;
-    }
-
-    /// Sets the minimum visit-list length for a round to take the parallel
-    /// path (default [`DEFAULT_PAR_THRESHOLD`]). Rounds below it run
-    /// sequentially — dispatching a handful of nodes to the pool costs more
-    /// than visiting them. `0` forces every round onto the pool (the
-    /// differential tests do this to exercise shard-boundary edge cases).
-    /// Both paths are bit-identical, so this only ever affects wall clock.
-    pub fn set_par_threshold(&mut self, threshold: usize) {
-        self.par_threshold = threshold;
+        self.plane = RoundPlane::new(self.n, self.max_deg, None);
     }
 
     /// Sets the minimum degree at which [`RoundCtx::send_all`] stages a
@@ -843,8 +853,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     /// round: final round numbers, [`RunStats`] (except the informational
     /// [`RunStats::skipped_rounds`] counter), transcripts, and program
     /// states are all bit-for-bit the same, at every thread count (the skip
-    /// decision is taken before the sequential/parallel dispatch, so
-    /// `step_seq` and `step_par` see identical rounds).
+    /// decision is taken before a round is sharded, so every lane count
+    /// sees identical rounds).
     ///
     /// Round observers see skipped spans through
     /// [`RoundObserver::on_rounds_skipped`] instead of per-round
@@ -862,7 +872,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
 
     /// The attached worker pool, if any.
     pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.par.as_ref().map(|p| &p.pool)
+        self.plane.pool.as_ref()
     }
 
     /// Enables transcript recording (see [`crate::trace`]). Call before the
@@ -901,7 +911,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         );
         assert_eq!(
             store.max_degree(),
-            self.sent_scratch.len(),
+            self.max_deg,
             "compact store does not match the simulator's topology"
         );
         self.topo = Topology::Compact(store);
@@ -1015,37 +1025,20 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
     ///
     /// Performs no heap allocation once all scratch buffers have reached
     /// their steady-state capacities (pinned by `tests/zero_alloc.rs`).
-    /// With a pool attached ([`Simulator::set_pool`]) and enough nodes to
-    /// visit ([`Simulator::set_par_threshold`]), the round runs the sharded
-    /// parallel path with identical observable behavior.
+    /// Every round runs one sharded body: one lane without a pool, one lane
+    /// per pool lane with one ([`Simulator::set_pool`]). The lane count and
+    /// the thread that runs each lane never change the output.
     pub fn step(&mut self) {
         self.build_visit();
-        let parallel = self.par.is_some() && self.visit.len() >= self.par_threshold;
         // Resolve the adjacency plane once per round and monomorphize the
-        // round path over it (no per-neighbor dispatch). The flat adapter
+        // round body over it (no per-neighbor dispatch). The flat adapter
         // copies `'g` borrows out of the topology; the compact adapter
         // clones the `Arc` — both outlive the `&mut self` round call.
         match &self.topo {
-            Topology::Flat(g) => {
-                // Copies the `&'g Graph` out of the field so the adapter's
-                // borrows are independent of the `self.topo` borrow.
-                let adj = FlatAdj::new(g);
-                if parallel {
-                    self.step_par_impl(&adj);
-                } else {
-                    self.step_seq_impl(&adj);
-                }
-            }
-            Topology::Compact(c) => {
-                let adj = CompactAdj {
-                    store: Arc::clone(c),
-                };
-                if parallel {
-                    self.step_par_impl(&adj);
-                } else {
-                    self.step_seq_impl(&adj);
-                }
-            }
+            Topology::Flat(g) => self.step_impl(&FlatAdj::new(g)),
+            Topology::Compact(c) => self.step_impl(&CompactAdj {
+                store: Arc::clone(c),
+            }),
         }
     }
 
@@ -1085,237 +1078,17 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         }
     }
 
-    /// The sequential round path (visit list already built by `step`),
-    /// monomorphized over the adjacency store. On the compact store, staged
-    /// `from_port` fields carry sender ids, converted to ports by the
-    /// conversion pass between scatter and merge (see [`AdjAccess`]).
-    fn step_seq_impl<A: AdjAccess>(&mut self, adj: &A) {
-        let n = self.n;
-        let mut digest = self.transcript.is_some().then(RoundDigest::new);
-        let mut sent_this_round = 0u64;
-
-        // 2. Visit: deliver, digest, run the program, stage its sends.
-        for idx in 0..self.visit.len() {
-            let v = self.visit[idx] as usize;
-            let neighbors = adj.adj(v, &mut self.adj_scratch);
-            let deg = neighbors.len();
-            let sent = &mut self.sent_scratch[..deg];
-            sent.fill(false);
-            self.outbox_scratch.clear();
-
-            // `start` is stale for nodes outside `msg_active`, so gate on
-            // the length (zero for every such node by invariant).
-            let rg = self.inbox_ranges[v];
-            let len = rg.len as usize;
-            let inbox: &[Incoming] = if len == 0 {
-                &[]
-            } else {
-                let start = rg.start as usize;
-                &self.inbox_data[start..start + len]
-            };
-            if let Some(d) = digest.as_mut() {
-                for inc in inbox {
-                    d.absorb(v as u64, inc.from_port as u64, inc.msg.words());
-                }
-            }
-
-            let mut ctx = RoundCtx::new(
-                v,
-                n,
-                self.round,
-                neighbors,
-                inbox,
-                &mut self.outbox_scratch,
-                sent,
-                self.bcast_threshold,
-            );
-            self.programs[v].round(&mut ctx);
-
-            // Stage the outbox; actual routing happens in the counting +
-            // scatter passes below. A broadcast record counts against every
-            // neighbor here but stays one staged entry.
-            for &(port, msg) in self.outbox_scratch.iter() {
-                if port == BCAST_PORT {
-                    for &u in neighbors {
-                        if self.count[u as usize] == 0 {
-                            self.touched.push(u);
-                        }
-                        self.count[u as usize] += 1;
-                    }
-                    self.staged.push((
-                        BCAST_RECV,
-                        Incoming {
-                            from_port: v as u32,
-                            msg,
-                        },
-                    ));
-                    self.stats.words += (msg.len() * deg) as u64;
-                    sent_this_round += deg as u64;
-                } else {
-                    let u = neighbors[port as usize];
-                    let from_port = if A::DEFERRED_PORTS {
-                        v as u32
-                    } else {
-                        adj.rev_port(v, port as usize)
-                    };
-                    if self.count[u as usize] == 0 {
-                        self.touched.push(u);
-                    }
-                    self.count[u as usize] += 1;
-                    self.staged.push((u, Incoming { from_port, msg }));
-                    self.stats.words += msg.len() as u64;
-                    sent_this_round += 1;
-                }
-            }
-            if !self.programs[v].is_idle() {
-                self.nonidle_next.push(v as u32);
-            } else if let Some(w) = self.programs[v].next_wake() {
-                // Timed wake-up: the node goes idle with an appointment.
-                // Past/present rounds are ignored per the contract, and
-                // `timer_armed` suppresses exact re-registrations from
-                // intermediate message-driven visits.
-                if w > self.round && self.timer_armed[v] != w {
-                    self.timer_armed[v] = w;
-                    self.timers.entry(w).or_default().push(v as u32);
-                }
-            }
-        }
-
-        // 3. Retire the consumed inboxes (restores the len-is-zero
-        //    invariant before the scatter pass reuses it as a fill cursor).
-        for &r in &self.msg_active {
-            self.inbox_ranges[r as usize].len = 0;
-        }
-
-        // 4. Counting pass: CSR ranges for next round's receivers. Senders
-        //    were visited in id order, so a stable scatter keeps each inbox
-        //    sorted by sender id — the deterministic delivery order we
-        //    promise.
-        self.touched.sort_unstable();
-        let mut acc = 0usize;
-        for &r in &self.touched {
-            self.inbox_ranges[r as usize].start = acc as u32;
-            acc += self.count[r as usize] as usize;
-        }
-        debug_assert_eq!(acc as u64, sent_this_round);
-        // Any `start` written above is only read by the scatter below, so
-        // asserting after the loop still precedes every truncated read.
-        assert!(
-            acc <= u32::MAX as usize,
-            "a single round staged more than u32::MAX deliveries"
-        );
-
-        // 5. Scatter pass (stable): inbox_len doubles as the fill cursor and
-        //    ends up at its final value. Broadcast records expand against
-        //    the sender's neighbor slice, at their staged position, so the
-        //    delivery order matches eager per-port staging exactly. The swap
-        //    buffer is grow-only: the counting pass guarantees every slot of
-        //    `[0, acc)` is written below, and slots past `acc` are never
-        //    read (all reads go through `inbox_start`/`inbox_len` ranges),
-        //    so the placeholder fill is paid once at peak size instead of
-        //    every round.
-        if self.next_data.len() < acc {
-            self.next_data.resize(
-                acc,
-                Incoming {
-                    from_port: 0,
-                    msg: Msg::one(0),
-                },
-            );
-        }
-        for &(u, inc) in &self.staged {
-            if u == BCAST_RECV {
-                let s = inc.from_port as usize;
-                let nb = adj.adj(s, &mut self.adj_scratch);
-                for (p, &u2) in nb.iter().enumerate() {
-                    let from_port = if A::DEFERRED_PORTS {
-                        s as u32
-                    } else {
-                        adj.rev_port(s, p)
-                    };
-                    let rg = &mut self.inbox_ranges[u2 as usize];
-                    let pos = rg.start as usize + rg.len as usize;
-                    self.next_data[pos] = Incoming {
-                        from_port,
-                        msg: inc.msg,
-                    };
-                    rg.len += 1;
-                }
-            } else {
-                let rg = &mut self.inbox_ranges[u as usize];
-                let pos = rg.start as usize + rg.len as usize;
-                self.next_data[pos] = inc;
-                rg.len += 1;
-            }
-        }
-        for &r in &self.touched {
-            self.count[r as usize] = 0;
-        }
-
-        // 5a. Conversion pass (compact store only): staged `from_port`
-        //     fields hold sender ids; resolve each to the sender's port in
-        //     the receiver's sorted neighbor list *before* the merge pass,
-        //     so merge tie-breaks and next round's digests see exactly the
-        //     flat store's values.
-        if A::DEFERRED_PORTS {
-            for &r in &self.touched {
-                let r = r as usize;
-                let rg = self.inbox_ranges[r];
-                let start = rg.start as usize;
-                let nb = adj.adj(r, &mut self.adj_scratch);
-                convert_deferred_ports(&mut self.next_data[start..start + rg.len as usize], nb);
-            }
-        }
-
-        // 5b. Merge pass: collapse each receiver's range when all its
-        //     messages share one non-None merge class (see [`crate::msg`]).
-        //     Shrunk ranges leave dead space in the swap buffer; it is
-        //     reclaimed by the next round's `resize`.
-        for &r in &self.touched {
-            let r = r as usize;
-            let rg = self.inbox_ranges[r];
-            let len = rg.len as usize;
-            if len > 1 {
-                let start = rg.start as usize;
-                let new_len = merge_range(&mut self.next_data[start..start + len]);
-                if new_len != len {
-                    self.stats.merged_messages += (len - new_len) as u64;
-                    self.inbox_ranges[r].len = new_len as u32;
-                }
-            }
-        }
-
-        // 6. Account and swap the double buffers / schedule sets.
-        self.stats.messages += sent_this_round;
-        self.staged.clear();
-        std::mem::swap(&mut self.inbox_data, &mut self.next_data);
-        std::mem::swap(&mut self.msg_active, &mut self.touched);
-        self.touched.clear();
-        std::mem::swap(&mut self.nonidle, &mut self.nonidle_next);
-        self.nonidle_next.clear();
-
-        if let (Some(t), Some(d)) = (self.transcript.as_mut(), digest) {
-            t.push(d.finish(self.round));
-        }
-        self.round += 1;
-        self.stats.rounds += 1;
-        // Per-round accounting is send-round attributed, matching
-        // `stats.messages` / `stats.words` (which are charged when a message
-        // is sent, not when it is delivered one round later).
-        self.stats.busiest_round_messages = self.stats.busiest_round_messages.max(sent_this_round);
-    }
-
-    /// The sharded parallel round path, monomorphized over the adjacency
-    /// store. Bit-identical to `step_seq_impl` at every thread count — see
-    /// the crate-level "Determinism under parallelism" notes for why
-    /// contiguous shards preserve the sender-ascending delivery order and
-    /// the receiver-ascending digest order. On the compact store, staged
-    /// `from_port` fields carry sender ids, converted to ports per receiver
-    /// range between scatter and merge (see [`AdjAccess`]).
-    fn step_par_impl<A: AdjAccess>(&mut self, adj: &A) {
+    /// The round body (visit list already built by `step`), monomorphized
+    /// over the adjacency store. Its output does not depend on the lane
+    /// count — see the crate-level "Determinism under parallelism" notes
+    /// for why contiguous shards preserve the sender-ascending delivery
+    /// order and the receiver-ascending digest order. On the compact store,
+    /// staged `from_port` fields carry sender ids, converted to ports per
+    /// receiver range between scatter and merge (see [`AdjAccess`]).
+    fn step_impl<A: AdjAccess>(&mut self, adj: &A) {
         let n = self.n;
 
-        // Phase 0 (sequential): the delivery digest (the visit list was
+        // Phase 0 (calling thread): the delivery digest (the visit list was
         // built by `step`). The digest folds `(receiver, port, words)` in
         // receiver-ascending, sender-ascending order — a pure function of
         // the *previous* round's scatter, so it does not depend on this
@@ -1347,7 +1120,6 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             nonidle,
             count,
             touched,
-            staged: _,
             nonidle_next,
             visit,
             timers,
@@ -1355,26 +1127,31 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             round,
             stats,
             transcript,
-            par,
+            plane,
             ..
         } = self;
         let visit: &[u32] = visit;
         let round_now = *round;
-        let par = par.as_mut().expect("step_par requires an attached pool");
-        let ParPlane {
+        let RoundPlane {
             pool,
+            inline,
             workers,
             ranges,
-            chunk,
+            shift,
             ncuts,
             ucuts,
             vcuts,
             pcuts,
             dcuts,
-        } = par;
-        let pool: &WorkerPool = pool;
+        } = plane;
+        // The threshold picks the thread that runs each lane, never the
+        // lanes themselves: both pools have the same lane count.
+        let pool: &WorkerPool = match pool {
+            Some(p) if visit.len() >= PAR_THRESHOLD => p,
+            _ => inline,
+        };
         let t = pool.threads();
-        let chunk = *chunk;
+        let shift = *shift;
         let ncuts: &[usize] = ncuts;
         let ucuts: &[usize] = ucuts;
 
@@ -1408,12 +1185,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         let vcuts: &[usize] = vcuts;
         let pcuts: &[usize] = pcuts;
 
-        // Phase A (parallel over visit shards): each lane runs its shard's
+        // Phase A (one lane per visit shard): each lane runs its shard's
         // node programs against the shared read-only inbox plane and stages
         // sends into its own per-receiver-range buckets. Within a lane the
         // stage order is the shard's visit order (sender-ascending); lanes
         // cover ascending sender ranges, so "lane order, then local order"
-        // is exactly the sequential staging order.
+        // is the global sender-ascending order at every lane count.
         {
             let inbox_data: &[Incoming] = inbox_data;
             let inbox_ranges: &[InboxRange] = inbox_ranges;
@@ -1471,11 +1248,16 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 // broadcast tree. Ranges expand it against
                                 // their slice of the neighbor list in the
                                 // counting/scatter phases.
+                                let range_of = |u: u32| (u as usize) >> shift;
+                                let last = range_of(neighbors[deg - 1]);
                                 let mut lo = 0usize;
                                 while lo < deg {
-                                    let j = neighbors[lo] as usize / chunk;
-                                    let hi = neighbors
-                                        .partition_point(|&u| (u as usize) < (j + 1) * chunk);
+                                    let j = range_of(neighbors[lo]);
+                                    let hi = if j == last {
+                                        deg
+                                    } else {
+                                        neighbors.partition_point(|&u| range_of(u) <= j)
+                                    };
                                     arena.buckets[j]
                                         .push((BCAST_RECV, Incoming { from_port: vu, msg }));
                                     lo = hi;
@@ -1489,7 +1271,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 } else {
                                     adj.rev_port(v, port as usize)
                                 };
-                                arena.buckets[u as usize / chunk]
+                                arena.buckets[(u as usize) >> shift]
                                     .push((u, Incoming { from_port, msg }));
                                 arena.words += msg.len() as u64;
                                 arena.staged += 1;
@@ -1505,7 +1287,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             );
         }
 
-        // Phase B (parallel over receiver ranges): each lane counts the
+        // Phase B (one lane per receiver range): each lane counts the
         // staged messages landing in its node-id range — walking every
         // sender lane's bucket for that range — and collects + sorts its
         // touched receivers.
@@ -1528,9 +1310,7 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                                 // Broadcast record: count the sender's
                                 // neighbors inside this range.
                                 let nb = adj.adj(inc.from_port as usize, &mut range.adj);
-                                let a = nb.partition_point(|&x| x < lo);
-                                let b = nb.partition_point(|&x| x < hi);
-                                for &u2 in &nb[a..b] {
+                                for &u2 in &nb[span_in(nb, lo, hi)] {
                                     let idx = (u2 - lo) as usize;
                                     if count_part[idx] == 0 {
                                         range.touched.push(u2);
@@ -1551,10 +1331,10 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             );
         }
 
-        // Phase C (sequential merge): retire the consumed inboxes, then lay
+        // Phase C (calling thread): retire the consumed inboxes, then lay
         // out next round's CSR ranges. Concatenating the per-range sorted
         // touched lists in range order *is* the globally sorted receiver
-        // list, so `inbox_start` gets exactly the sequential path's values.
+        // list, so `inbox_start` gets the same values at every lane count.
         for &r in msg_active.iter() {
             inbox_ranges[r as usize].len = 0;
         }
@@ -1577,9 +1357,10 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             acc <= u32::MAX as usize,
             "a single round staged more than u32::MAX deliveries"
         );
-        // Grow-only swap buffer, same invariant as the sequential path: the
-        // scatter below writes every slot of `[0, acc)` and nothing reads
-        // past `acc`.
+        // Grow-only swap buffer: the counting pass guarantees the scatter
+        // below writes every slot of `[0, acc)`, and nothing reads past
+        // `acc` (all reads go through `inbox_ranges`), so the placeholder
+        // fill is paid once at peak size instead of every round.
         if next_data.len() < acc {
             next_data.resize(
                 acc,
@@ -1595,9 +1376,12 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             nonidle_next.extend_from_slice(&arena.nonidle);
             stats.words += arena.words;
             sent_this_round += arena.staged;
-            // Register this lane's timed wake-ups (same filter as the
-            // sequential path; the wheel's contents are a pure function of
-            // program states, so thread count cannot change it).
+            // Register this lane's timed wake-ups. Past/present rounds are
+            // ignored per the `next_wake` contract, and `timer_armed`
+            // suppresses exact re-registrations from intermediate
+            // message-driven visits; the wheel's contents are a pure
+            // function of program states, so the lane count cannot change
+            // them.
             for &(v, w) in &arena.wakes {
                 if w > round_now && timer_armed[v as usize] != w {
                     timer_armed[v as usize] = w;
@@ -1608,15 +1392,15 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         debug_assert_eq!(acc as u64, sent_this_round);
         let dcuts: &[usize] = dcuts;
 
-        // Phase D (parallel over receiver ranges): stable scatter. Each lane
+        // Phase D (one lane per receiver range): stable scatter. Each lane
         // owns the scatter-buffer span of its receiver range and walks the
         // sender lanes' buckets for that range *in lane order*, so every
-        // inbox fills sender-ascending — identical to the sequential stable
-        // scatter. Broadcast records expand against the sender's neighbor
+        // inbox fills sender-ascending — the deterministic delivery order we
+        // promise. Broadcast records expand against the sender's neighbor
         // slice restricted to the range, at their staged position. After
         // scattering, each lane merges its own receivers' ranges in place
         // (see [`crate::msg`]); the merge result is a pure function of the
-        // staged message set, so it is thread-count independent. Each
+        // staged message set, so it is lane-count independent. Each
         // range's `len` doubles as the per-receiver fill cursor and ends at
         // its final (post-merge) value.
         let merged_total = AtomicU64::new(0);
@@ -1641,9 +1425,9 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
                             if u == BCAST_RECV {
                                 let s = inc.from_port as usize;
                                 let nb = adj.adj(s, &mut range.adj);
-                                let a = nb.partition_point(|&x| (x as usize) < lo);
-                                let b = nb.partition_point(|&x| (x as usize) < hi);
-                                for (off, &u2) in nb[a..b].iter().enumerate() {
+                                let span = span_in(nb, lo as u32, hi as u32);
+                                let a = span.start;
+                                for (off, &u2) in nb[span].iter().enumerate() {
                                     let from_port = if A::DEFERRED_PORTS {
                                         s as u32
                                     } else {
@@ -1701,7 +1485,8 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
             );
         }
 
-        // Phase E (sequential): account and swap, exactly as step_seq does.
+        // Phase E (calling thread): account and swap the double buffers /
+        // schedule sets.
         stats.messages += sent_this_round;
         stats.merged_messages += merged_total.into_inner();
         std::mem::swap(inbox_data, next_data);
@@ -1715,6 +1500,9 @@ impl<'g, P: NodeProgram + Send> Simulator<'g, P> {
         }
         *round += 1;
         stats.rounds += 1;
+        // Per-round accounting is send-round attributed, matching
+        // `stats.messages` / `stats.words` (which are charged when a message
+        // is sent, not when it is delivered one round later).
         stats.busiest_round_messages = stats.busiest_round_messages.max(sent_this_round);
     }
 

@@ -104,7 +104,6 @@ type RunResult = (u64, nas_congest::RunStats, Vec<NodeSnapshot>);
 fn finish(mut sim: Simulator<'_, Churn>, rounds: u64, pool: Option<Arc<WorkerPool>>) -> RunResult {
     if let Some(pool) = pool {
         sim.set_pool(pool);
-        sim.set_par_threshold(0);
     }
     // Force the broadcast record path on every `send_all`.
     sim.set_bcast_threshold(1);

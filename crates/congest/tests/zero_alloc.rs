@@ -161,19 +161,21 @@ fn steady_state_zero_alloc_on_irregular_graph() {
     assert_eq!(sim.stats().messages, (16 + 128) * 2 * g.num_edges() as u64);
 }
 
-/// The guarantee survives the sharded parallel path: per-lane arenas are
-/// allocated once at [`Simulator::set_pool`] (and grown during warm-up),
-/// job dispatch goes through a preallocated futex-guarded slot, and the
-/// counting/scatter merge reuses per-range scratch — so a steady-state
-/// parallel step performs zero allocations *across all worker threads*
-/// (`count_on` switches counting on for every pool lane, so worker-thread
-/// allocations are caught here too).
+/// The guarantee survives dispatch to the pool's threads: per-lane arenas
+/// are allocated once at [`Simulator::set_pool`] (and grown during
+/// warm-up), job dispatch goes through a preallocated futex-guarded slot,
+/// and the counting/scatter merge reuses per-range scratch — so a
+/// steady-state multi-lane step performs zero allocations *across all
+/// worker threads* (`count_on` switches counting on for every pool lane,
+/// so worker-thread allocations are caught here too).
 #[test]
 fn steady_state_zero_alloc_with_pool_active() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use std::sync::Arc;
 
-    let n = 512;
+    // Every node is visited every round, and 2048 visits is above the
+    // simulator's dispatch threshold, so every round runs on the threads.
+    let n = 2048;
     let g = generators::cycle(n);
     let programs: Vec<Ring> = (0..n).map(|_| Ring { tokens_seen: 0 }).collect();
     let mut sim = Simulator::new(&g, programs);
@@ -181,31 +183,28 @@ fn steady_state_zero_alloc_with_pool_active() {
     // machinery must itself be allocation-free even when oversubscribed.
     let pool = Arc::new(WorkerPool::new(4));
     sim.set_pool(Arc::clone(&pool));
-    // n = 512 sits below the default dispatch threshold; force the parallel
-    // path — the zero-alloc pin is about the sharded machinery.
-    sim.set_par_threshold(0);
 
-    // Warm-up: one full token rotation plus slack. Unlike the sequential
-    // plane's single staging buffer, the parallel plane stages into
-    // per-(lane, receiver-range) buckets, and the ring's two tokens that
-    // travel *against* the flow shift which bucket carries the shard-
-    // boundary messages as they orbit — each bucket only reaches its
-    // steady-state capacity once the orbit has passed it. After one full
-    // period the pattern repeats exactly.
+    // Warm-up: one full token rotation plus slack. With more than one lane
+    // the plane stages into per-(lane, receiver-range) buckets, and the
+    // ring's two tokens that travel *against* the flow shift which bucket
+    // carries the shard-boundary messages as they orbit — each bucket only
+    // reaches its steady-state capacity once the orbit has passed it.
+    // After one full period the pattern repeats exactly.
     let warmup = n as u64 + 32;
     sim.run_rounds(warmup);
     assert_eq!(sim.stats().messages, warmup * n as u64);
 
+    // One more full period: every bucket pattern recurs.
     count_on(Some(&pool), true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sim.run_rounds(2 * n as u64);
+    sim.run_rounds(n as u64);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     count_on(Some(&pool), false);
     assert_eq!(
         after - before,
         0,
-        "parallel Simulator::step allocated in steady state"
+        "pool-dispatched Simulator::step allocated in steady state"
     );
-    assert_eq!(sim.stats().messages, (warmup + 2 * n as u64) * n as u64);
+    assert_eq!(sim.stats().messages, (warmup + n as u64) * n as u64);
     assert!(sim.programs().iter().all(|p| p.tokens_seen >= 256));
 }

@@ -145,11 +145,12 @@ pub fn build_with_engine<E: PhaseEngine>(
         .map_err(SessionError::expect_param)
 }
 
-/// Builds the per-call execution hooks an engine operation runs under: the
-/// conduit as the round observer, the session's worker pool, and (when the
-/// session selected the compact store) the shared [`CompactGraph`] every
-/// attached simulator reads its adjacency from.
-fn hooks<'a>(
+/// Builds the per-call execution hooks an engine operation (or the
+/// `Backend::Full` simulation) runs under: the conduit as the round
+/// observer, the session's worker pool, and (when the session selected the
+/// compact store) the shared [`CompactGraph`] every attached simulator
+/// reads its adjacency from.
+pub(crate) fn hooks<'a>(
     ctl: &'a mut Conduit<'_>,
     pool: Option<&'a Arc<WorkerPool>>,
     store: Option<&Arc<CompactGraph>>,

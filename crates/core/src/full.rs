@@ -28,7 +28,7 @@
 //! spanner is asserted (in tests) to be identical to both other backends.
 
 use crate::algo1::{algo1_rounds, Algo1Protocol};
-use crate::driver::PhaseStats;
+use crate::driver::{hooks, PhaseStats};
 use crate::interconnect::TraceProtocol;
 use crate::params::{Params, Schedule};
 use crate::session::{Conduit, SessionError};
@@ -82,11 +82,18 @@ fn windows(schedule: &Schedule, n: usize) -> Vec<Windows> {
     out
 }
 
+/// What every node derives identically from `(n, ε, κ, ρ)`: the schedule
+/// and its round windows. One copy is shared by all nodes.
+#[derive(Debug)]
+struct Plan {
+    schedule: Schedule,
+    windows: Vec<Windows>,
+}
+
 /// Per-node state of the composite protocol.
 #[derive(Debug, Clone)]
 pub struct FullProtocol {
-    schedule: Schedule,
-    windows: Vec<Windows>,
+    plan: Arc<Plan>,
     /// Whether this node is a cluster center in the current phase.
     is_center: bool,
     is_root: bool,
@@ -99,10 +106,9 @@ pub struct FullProtocol {
 }
 
 impl FullProtocol {
-    fn new(schedule: Schedule, windows: Vec<Windows>) -> Self {
+    fn new(plan: Arc<Plan>) -> Self {
         FullProtocol {
-            schedule,
-            windows,
+            plan,
             is_center: true, // P_0: every vertex is a singleton center
             is_root: false,
             algo1: None,
@@ -138,16 +144,21 @@ impl NodeProgram for FullProtocol {
     fn round(&mut self, ctx: &mut RoundCtx<'_>) {
         let r = ctx.round();
         let n = ctx.n();
+        // Read everything this round needs off the shared plan up front, so
+        // the borrow ends before the stage actions below mutate `self`.
+        let plan = &*self.plan;
         // Locate the current phase. ℓ+1 phases; linear scan is fine.
-        let Some(i) = self.windows.iter().position(|w| r < w.end) else {
+        let Some(i) = plan.windows.iter().position(|w| r < w.end) else {
             return; // schedule exhausted
         };
-        let w = self.windows[i];
-        let delta = self.schedule.delta[i];
-        let deg = usize::try_from(self.schedule.deg[i])
+        let w = plan.windows[i];
+        let delta = plan.schedule.delta[i];
+        let deg = usize::try_from(plan.schedule.deg[i])
             .unwrap_or(usize::MAX)
             .min(n + 1);
-        let concluding = i == self.schedule.ell;
+        let concluding = i == plan.schedule.ell;
+        let ruling_c = plan.schedule.ruling_c;
+        let sc_depth = plan.schedule.sc_depth(i);
 
         // Stage entry actions (local decisions only).
         if r == w.algo1 {
@@ -161,7 +172,7 @@ impl NodeProgram for FullProtocol {
             let q = u32::try_from(2 * delta).expect("2δ fits u32").max(1);
             self.ruling = Some(RulingProtocol::new_at(
                 n,
-                RulingParams::new(q, self.schedule.ruling_c),
+                RulingParams::new(q, ruling_c),
                 popular,
                 r,
             ));
@@ -172,7 +183,7 @@ impl NodeProgram for FullProtocol {
             self.sc = Some(SuperclusterProtocol::new_at(
                 self.is_root,
                 self.is_center,
-                self.schedule.sc_depth(i),
+                sc_depth,
                 r,
             ));
         }
@@ -227,18 +238,16 @@ pub(crate) fn run_full_ctl(
 ) -> Result<(EdgeSet, RunStats, Schedule, Vec<PhaseStats>), SessionError> {
     let n = g.num_vertices();
     let schedule = params.schedule(n)?;
-    let windows = windows(&schedule, n);
+    let plan = Arc::new(Plan {
+        windows: windows(&schedule, n),
+        schedule,
+    });
+    let Plan { schedule, windows } = &*plan;
     let programs: Vec<FullProtocol> = (0..n)
-        .map(|_| FullProtocol::new(schedule.clone(), windows.clone()))
+        .map(|_| FullProtocol::new(Arc::clone(&plan)))
         .collect();
     let mut sim = Simulator::new(g, programs);
-    if let Some(pool) = pool {
-        sim.set_pool(Arc::clone(pool));
-    }
-    if let Some(store) = store {
-        sim.set_compact(Arc::clone(store));
-    }
-    sim.set_fast_forward(ctl.fast_forward_enabled());
+    hooks(ctl, pool, store).attach(&mut sim);
     let mut phases = Vec::with_capacity(windows.len());
     for (i, w) in windows.iter().enumerate() {
         ctl.phase_started(i, 0, schedule.delta[i], schedule.deg[i]);
@@ -269,7 +278,7 @@ pub(crate) fn run_full_ctl(
             spanner.insert(a as usize, b as usize);
         }
     }
-    Ok((spanner, stats, schedule, phases))
+    Ok((spanner, stats, schedule.clone(), phases))
 }
 
 #[cfg(test)]

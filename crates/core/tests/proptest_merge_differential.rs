@@ -33,8 +33,7 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 }
 
 /// Runs `programs` on the production plane for `rounds` rounds.
-/// `lanes > 1` attaches a pool and forces the sharded path
-/// (`par_threshold = 0`); `bcast` is the broadcast-record threshold
+/// `lanes > 1` attaches a pool of that many lanes; `bcast` is the broadcast-record threshold
 /// (1 = every `send_all` takes the broadcast path); `ff = false` disables
 /// round fast-forward so every eventless round executes.
 fn run_merged<P: NodeProgram + Send>(
@@ -50,7 +49,6 @@ fn run_merged<P: NodeProgram + Send>(
     sim.set_fast_forward(ff);
     if lanes > 1 {
         sim.set_pool(Arc::new(WorkerPool::new(lanes)));
-        sim.set_par_threshold(0);
     }
     sim.run_rounds(rounds);
     sim.into_programs()
@@ -337,7 +335,6 @@ fn long_eventless_gaps_skip_without_output_drift() {
         sim.set_fast_forward(ff);
         if lanes > 1 {
             sim.set_pool(Arc::new(WorkerPool::new(lanes)));
-            sim.set_par_threshold(0);
         }
         sim.run_rounds(rounds);
         let stats = *sim.stats();

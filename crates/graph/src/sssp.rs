@@ -51,7 +51,7 @@
 //! contiguous row ranges of the flat output plus a private
 //! [`SsspScratch`], so the batch is byte-identical to the sequential loop
 //! at every thread count — the same contiguous-shard argument as
-//! `step_par` in the CONGEST simulator and the BFS batch fills; see the
+//! the CONGEST simulator's round body and the BFS batch fills; see the
 //! `nas_par` crate docs and the [`crate::dist`] module docs.
 //!
 //! # Example

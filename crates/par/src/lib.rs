@@ -131,31 +131,42 @@ impl WorkerPool {
     /// Spawns `threads - 1` persistent worker threads; a 1-lane pool spawns
     /// nothing and runs every broadcast inline.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                epoch: 0,
-                job: None,
-                active: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..threads)
+        let mut pool = WorkerPool::inline(threads);
+        pool.handles = (1..pool.threads)
             .map(|i| {
-                let sh = Arc::clone(&shared);
+                let sh = Arc::clone(&pool.shared);
                 std::thread::Builder::new()
                     .name(format!("nas-par-{i}"))
                     .spawn(move || worker_loop(sh, i))
                     .expect("failed to spawn nas-par worker thread")
             })
             .collect();
+        pool
+    }
+
+    /// Creates a spawn-free pool with `threads` lanes (clamped to at least
+    /// 1): every broadcast runs its lanes one after another, in lane order,
+    /// on the calling thread.
+    ///
+    /// The sharding helpers hand an inline pool exactly the parts they hand
+    /// a threaded pool of the same size, so a caller can move a job between
+    /// the two without changing its output — only which thread runs each
+    /// lane. For `threads == 1` this is the same as [`WorkerPool::new`].
+    pub fn inline(threads: usize) -> Self {
         WorkerPool {
-            shared,
-            threads,
-            handles,
+            shared: Arc::new(Shared {
+                state: Mutex::new(State {
+                    epoch: 0,
+                    job: None,
+                    active: 0,
+                    panicked: false,
+                    shutdown: false,
+                }),
+                work: Condvar::new(),
+                done: Condvar::new(),
+            }),
+            threads: threads.max(1),
+            handles: Vec::new(),
         }
     }
 
@@ -173,8 +184,9 @@ impl WorkerPool {
     /// Runs `f(lane)` once per lane `0..threads()`, in parallel, blocking
     /// until all lanes complete. Performs no heap allocation.
     ///
-    /// Lane 0 executes on the calling thread. Concurrent broadcasts from
-    /// different threads are serialized internally.
+    /// Lane 0 executes on the calling thread; on a pool without workers
+    /// ([`WorkerPool::inline`]) every lane does, in lane order. Concurrent
+    /// broadcasts from different threads are serialized internally.
     ///
     /// # Panics
     ///
@@ -182,8 +194,10 @@ impl WorkerPool {
     /// finished, so borrowed data is never left aliased).
     pub fn broadcast(&self, f: impl Fn(usize) + Sync) {
         let f_obj: &(dyn Fn(usize) + Sync) = &f;
-        if self.threads == 1 {
-            f_obj(0);
+        if self.handles.is_empty() {
+            for lane in 0..self.threads {
+                f_obj(lane);
+            }
             return;
         }
         // SAFETY: erases the closure's lifetime. Workers only call through
@@ -332,8 +346,8 @@ pub fn balanced_cuts(len: usize, parts: usize) -> Vec<usize> {
 /// weights — deterministic for a fixed input, and (like all cut choices)
 /// never observable in transcripts, only in wall clock.
 ///
-/// Single pass over the weights; reuses `out`'s capacity (no allocation
-/// once the capacity is `parts + 1`).
+/// Single pass over the weights (none with one part); reuses `out`'s
+/// capacity (no allocation once the capacity is `parts + 1`).
 pub fn fill_balanced_cuts_weighted<W: Fn(usize) -> u64>(
     out: &mut Vec<usize>,
     len: usize,
@@ -342,6 +356,10 @@ pub fn fill_balanced_cuts_weighted<W: Fn(usize) -> u64>(
 ) {
     let parts = parts.max(1);
     out.clear();
+    if parts == 1 {
+        out.extend([0, len]);
+        return;
+    }
     let mut total: u64 = 0;
     for i in 0..len {
         total += weight(i);
@@ -601,6 +619,28 @@ mod tests {
     }
 
     #[test]
+    fn inline_pool_runs_lanes_in_order_on_the_caller() {
+        let caller = std::thread::current().id();
+        let pool = WorkerPool::inline(4);
+        assert_eq!(pool.threads(), 4);
+        let order = Mutex::new(Vec::new());
+        pool.broadcast(|i| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+        });
+        assert_eq!(order.into_inner().unwrap(), [0, 1, 2, 3]);
+
+        // Same cuts, same parts as a threaded pool of the same size.
+        let cuts = balanced_cuts(10, 4);
+        let fill = |pool: &WorkerPool| {
+            let mut data = vec![0usize; 10];
+            for_each_part_mut(pool, &mut data, &cuts, |i, part| part.fill(i));
+            data
+        };
+        assert_eq!(fill(&pool), fill(&WorkerPool::new(4)));
+    }
+
+    #[test]
     fn parts_cover_slice_disjointly() {
         let pool = WorkerPool::new(3);
         let mut data: Vec<u64> = vec![0; 100];
@@ -764,6 +804,8 @@ mod tests {
         }
         // All-zero weights degrade to count balancing, still a partition.
         assert_eq!(balanced_cuts_weighted(10, 2, |_| 0), balanced_cuts(10, 2));
+        // One part needs no weights at all.
+        assert_eq!(balanced_cuts_weighted(10, 1, |_| unreachable!()), [0, 10]);
     }
 
     #[test]

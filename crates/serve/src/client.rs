@@ -2,8 +2,9 @@
 //!
 //! Just enough protocol for this workspace's own daemon: `GET`/`POST`
 //! with `Content-Length` framing, no chunked encoding, no redirects, no
-//! TLS. `serve_bench` drives its load legs through it and the
-//! integration tests use it to talk to an in-process
+//! TLS. The reference benchmark's serve workload (`perfbench`,
+//! `serve-zipf-churn`) sends its quiet slices and churn rebuilds through
+//! it, and the integration tests use it to talk to an in-process
 //! [`Server`](crate::server::Server) — both stay std-only, matching the
 //! server side.
 

@@ -47,7 +47,8 @@
 //!   process-wide `nas-par` pool, which serializes concurrent broadcasts
 //!   internally.
 //! * [`client`] is a minimal blocking keep-alive client — just enough for
-//!   `serve_bench`'s load legs and the integration tests.
+//!   the reference benchmark's serve workload (`perfbench`,
+//!   `serve-zipf-churn`) and the integration tests.
 //!
 //! # Endpoints
 //!
